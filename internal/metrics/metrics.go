@@ -201,8 +201,8 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// histogram bucket boundaries: 16 exponentially growing latency buckets from
-// 100µs to ~55min; the last bucket is open-ended.
+// histogram bucket boundaries: 16 doubling upper bounds from 100µs to
+// 100µs·2¹⁵ ≈ 3.3s; an open-ended overflow bucket takes anything slower.
 var bucketBounds = buildBounds()
 
 func buildBounds() []time.Duration {

@@ -208,10 +208,13 @@ func WithTableEngine(te TableEngine) ProcessorOption {
 }
 
 // WithTreeCache installs an SSMD tree cache: StrategySSMD evaluations answer
-// each per-source search from cached resumable spanning trees keyed by
-// (source, accessor generation) instead of running Dijkstra from scratch.
-// Other strategies ignore the cache. Cached evaluation changes the reported
-// Stats (only incremental work is counted) but never the resulting paths.
+// each evaluation row from cached resumable spanning trees keyed by (root,
+// direction, accessor generation) instead of running Dijkstra from scratch,
+// rooting the rows at the sources or — when the cache expects them to be
+// reused (see TreeCache) — at the destinations. Other strategies ignore the
+// cache. Cached evaluation changes the reported Stats (only incremental work
+// is counted) but never the resulting path costs, nor the paths wherever
+// the shortest path is unique.
 func WithTreeCache(c *TreeCache) ProcessorOption {
 	return func(p *Processor) { p.cache = c }
 }
@@ -327,33 +330,38 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 	res := MSMDResult{
 		Sources: append([]roadnet.NodeID(nil), sources...),
 		Dests:   append([]roadnet.NodeID(nil), dests...),
-		Paths:   make([][]Path, len(sources)),
 	}
 
-	type rowResult struct {
-		idx   int
-		paths []Path
-		stats Stats
-		err   error
+	// Rows are rooted at the sources, or — when the tree cache finds the
+	// destinations more likely to be reused — at the destinations, on the
+	// reverse view of the pinned snapshot; the row table is then transposed
+	// at the end. Only cached SSMD ever evaluates in reverse.
+	dir, rowAcc := Forward, acc
+	roots, others := sources, dests
+	cached := p.cache != nil && (p.strategy == StrategySSMD || p.strategy == "")
+	if cached {
+		dir, rowAcc = p.cache.direction(acc, sources, dests)
+		if dir == Reverse {
+			roots, others = dests, sources
+		}
 	}
+	res.Paths = make([][]Path, len(roots))
 
 	evalRow := func(i int) rowResult {
 		p.gate.Acquire()
 		defer p.gate.Release()
+		if cached {
+			// Cached trees carry their own long-lived workspaces; no
+			// per-row checkout is needed.
+			paths, stats, err := p.cache.evaluate(rowAcc, roots[i], dir, others)
+			return rowResult{idx: i, paths: paths, stats: stats, err: err}
+		}
 		s := sources[i]
 		switch p.strategy {
 		case StrategySSMD, "":
-			var r SSMDResult
-			var err error
-			if p.cache != nil {
-				// Cached trees carry their own long-lived workspaces; no
-				// per-row checkout is needed.
-				r, err = p.cache.Evaluate(acc, s, dests)
-			} else {
-				w := p.wsPool.Get(acc.NumNodes())
-				r, err = w.SSMD(acc, s, dests)
-				w.Release()
-			}
+			w := p.wsPool.Get(acc.NumNodes())
+			r, err := w.SSMD(acc, s, dests)
+			w.Release()
 			if err != nil {
 				return rowResult{idx: i, err: err}
 			}
@@ -423,8 +431,8 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 		}
 	}
 
-	if p.workers <= 1 || len(sources) == 1 {
-		for i := range sources {
+	if p.workers <= 1 || len(roots) == 1 {
+		for i := range roots {
 			rr := evalRow(i)
 			if rr.err != nil {
 				return MSMDResult{}, rr.err
@@ -432,17 +440,29 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 			res.Paths[rr.idx] = rr.paths
 			res.Stats = res.Stats.Add(rr.stats)
 		}
-		fillDists(&res)
-		return res, nil
+	} else if err := p.fanOut(len(roots), evalRow, &res); err != nil {
+		return MSMDResult{}, err
 	}
+	if dir == Reverse {
+		res.Paths = transpose(res.Paths, len(sources), len(dests))
+	}
+	if cached {
+		p.cache.record(sources, dests)
+	}
+	fillDists(&res)
+	return res, nil
+}
 
-	// Bounded fan-out over sources.
+// fanOut evaluates rows 0..n-1 on at most p.workers goroutines, storing each
+// row's paths in res and summing the statistics; it returns the first row
+// error.
+func (p *Processor) fanOut(n int, evalRow func(int) rowResult, res *MSMDResult) error {
 	jobs := make(chan int)
-	results := make(chan rowResult, len(sources))
+	results := make(chan rowResult, n)
 	var wg sync.WaitGroup
 	workers := p.workers
-	if workers > len(sources) {
-		workers = len(sources)
+	if workers > n {
+		workers = n
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -453,7 +473,7 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 			}
 		}()
 	}
-	for i := range sources {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
@@ -470,11 +490,30 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 		res.Paths[rr.idx] = rr.paths
 		res.Stats = res.Stats.Add(rr.stats)
 	}
-	if firstErr != nil {
-		return MSMDResult{}, firstErr
+	return firstErr
+}
+
+// rowResult is one evaluation row: the paths between one root and every
+// node on the other side of the query.
+type rowResult struct {
+	idx   int
+	paths []Path
+	stats Stats
+	err   error
+}
+
+// transpose turns the |T| rows of a reverse evaluation (row j: every
+// source's path to dests[j]) into the |S|×|T| table, backed by one array.
+func transpose(rows [][]Path, nSources, nDests int) [][]Path {
+	cells := make([]Path, nSources*nDests)
+	out := make([][]Path, nSources)
+	for i := range out {
+		out[i] = cells[i*nDests : (i+1)*nDests : (i+1)*nDests]
+		for j := range out[i] {
+			out[i][j] = rows[j][i]
+		}
 	}
-	fillDists(&res)
-	return res, nil
+	return out
 }
 
 // EvaluateDistances processes Q(sources, dests) for callers that only need

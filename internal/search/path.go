@@ -3,7 +3,9 @@
 // Dijkstra), the single-source multi-destination (SSMD) search the paper
 // builds its cost argument on (Section III-B), and the multi-source
 // multi-destination (MSMD) obfuscated path query processor (Section IV) that
-// evaluates Q(S, T) by running one SSMD spanning tree per source.
+// evaluates Q(S, T) by running one SSMD spanning tree per source — or, with
+// the tree cache, one reverse tree per destination when the destinations are
+// the side that recurs.
 //
 // Every algorithm runs against a storage.Accessor, so the same code paths are
 // measured both in memory and against the paged disk simulation, and every

@@ -35,13 +35,19 @@ import (
 // long-running search, and paths extracted from a resumed tree match cold
 // SSMD results.
 //
+// A reverse tree (direction Reverse) is the mirror image: rooted at a
+// destination and grown over a storage.ReverseGraph, it settles every node
+// at its distance to the root and answers the paths from each requested
+// source to the root.
+//
 // A Tree serialises its own growth with an internal mutex; concurrent Paths
 // calls are safe and each observes a tree at least as grown as it needs.
 type Tree struct {
-	mu     sync.Mutex
-	acc    storage.Accessor
-	source roadnet.NodeID
-	ws     *Workspace
+	mu   sync.Mutex
+	acc  storage.Accessor
+	root roadnet.NodeID
+	dir  Direction
+	ws   *Workspace
 	// refs counts live holders of the tree: its creator (or the cache that
 	// adopted it) plus every in-flight Paths caller pinned via retain. The
 	// workspace is recycled when the count reaches zero.
@@ -61,31 +67,34 @@ type Tree struct {
 // call Release to recycle its workspace (the garbage collector reclaims
 // unreleased trees eventually, just without reuse).
 func NewTree(acc storage.Accessor, source roadnet.NodeID) (*Tree, error) {
-	return newTreeFromPool(sharedWorkspaces, acc, source)
+	return newTreeFromPool(sharedWorkspaces, acc, source, Forward)
 }
 
-// newTreeFromPool is NewTree with an explicit workspace pool.
-func newTreeFromPool(pool *WorkspacePool, acc storage.Accessor, source roadnet.NodeID) (*Tree, error) {
-	if !validNode(acc, source) {
-		return nil, errInvalidSource(source)
+// newTreeFromPool is NewTree with an explicit workspace pool and direction.
+// A Reverse tree must be given a reverse view (storage.Reverse) as acc.
+func newTreeFromPool(pool *WorkspacePool, acc storage.Accessor, root roadnet.NodeID, dir Direction) (*Tree, error) {
+	if !validNode(acc, root) {
+		return nil, errInvalidSource(root)
 	}
 	w := pool.Get(acc.NumNodes())
 	w.acc = acc
 	t := &Tree{
 		acc:        acc,
-		source:     source,
+		root:       root,
+		dir:        dir,
 		ws:         w,
 		unexpanded: roadnet.InvalidNode,
 	}
 	t.refs.Store(1)
-	w.label(source, 0, roadnet.InvalidNode)
-	w.heap.Push(int32(source), 0)
+	w.label(root, 0, roadnet.InvalidNode)
+	w.heap.Push(int32(root), 0)
 	t.grown.QueueOps++
 	return t, nil
 }
 
-// Source returns the root of the tree.
-func (t *Tree) Source() roadnet.NodeID { return t.source }
+// Source returns the root of the tree: its source for a forward tree, its
+// destination for a reverse one.
+func (t *Tree) Source() roadnet.NodeID { return t.root }
 
 // GrownStats returns the cumulative work spent growing the tree so far.
 func (t *Tree) GrownStats() Stats {
@@ -119,41 +128,54 @@ func (t *Tree) Release() {
 // call performed — zero when every destination was already settled, which is
 // exactly the saving the tree cache exists to harvest.
 func (t *Tree) Paths(dests []roadnet.NodeID) (SSMDResult, error) {
-	if len(dests) == 0 {
-		return SSMDResult{}, errNoDestinations()
+	paths, stats, err := t.paths(dests)
+	if err != nil {
+		return SSMDResult{}, err
 	}
-	for _, d := range dests {
-		if !validNode(t.acc, d) {
-			return SSMDResult{}, errInvalidDest(d)
+	return SSMDResult{
+		Source: t.root,
+		Dests:  append([]roadnet.NodeID(nil), dests...),
+		Paths:  paths,
+		Stats:  stats,
+	}, nil
+}
+
+// paths is Paths without the result envelope: one path per requested node,
+// in the tree's source→destination order — from the root to each node on a
+// forward tree, from each node to the root on a reverse one — plus the
+// incremental work.
+func (t *Tree) paths(nodes []roadnet.NodeID) ([]Path, Stats, error) {
+	if len(nodes) == 0 {
+		return nil, Stats{}, errNoDestinations()
+	}
+	for _, v := range nodes {
+		if !validNode(t.acc, v) {
+			return nil, Stats{}, errInvalidDest(v)
 		}
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.ws == nil {
-		return SSMDResult{}, fmt.Errorf("search: Paths on a released tree (source %d)", t.source)
+		return nil, Stats{}, fmt.Errorf("search: Paths on a released tree (root %d)", t.root)
 	}
 
-	stats := t.grow(dests)
+	stats := t.grow(nodes)
 
-	res := SSMDResult{
-		Source: t.source,
-		Dests:  append([]roadnet.NodeID(nil), dests...),
-		Paths:  make([]Path, len(dests)),
-		Stats:  stats,
-	}
-	for i, d := range dests {
-		if d == t.source {
-			res.Paths[i] = Path{Nodes: []roadnet.NodeID{t.source}, Cost: 0}
-			continue
+	paths := make([]Path, len(nodes))
+	for i, v := range nodes {
+		switch {
+		case v == t.root:
+			paths[i] = Path{Nodes: []roadnet.NodeID{t.root}, Cost: 0}
+		case !t.ws.settled(v):
+			// frontier exhausted without reaching v: paths[i] stays empty
+		case t.dir == Reverse:
+			paths[i] = t.ws.reconstructToRoot(v, t.root, t.acc.Graph())
+		default:
+			paths[i] = t.ws.reconstruct(t.root, v)
 		}
-		if !t.ws.settled(d) {
-			res.Paths[i] = Path{} // frontier exhausted without reaching d
-			continue
-		}
-		res.Paths[i] = t.ws.reconstruct(t.source, d)
 	}
-	return res, nil
+	return paths, stats, nil
 }
 
 // grow continues the Dijkstra expansion until every destination is settled or
@@ -165,7 +187,7 @@ func (t *Tree) grow(dests []roadnet.NodeID) Stats {
 	w.bumpMark()
 	pending := 0
 	for _, d := range dests {
-		if d != t.source && !w.settled(d) && w.mark[d] != w.markEpoch {
+		if d != t.root && !w.settled(d) && w.mark[d] != w.markEpoch {
 			w.mark[d] = w.markEpoch
 			pending++
 		}

@@ -257,6 +257,40 @@ func (w *Workspace) reconstruct(source, dest roadnet.NodeID) Path {
 	return Path{Nodes: rev, Cost: w.dist[dest]}
 }
 
+// reconstructToRoot walks the parent pointers of a reverse tree from v to
+// its root and returns the v→root path. On a reverse tree every parent is
+// the next hop towards the root, so the walk already yields source→
+// destination order and needs no reversal. The cost is re-summed in that
+// order from g's forward arc costs (the cheapest parallel arc, the one the
+// search relaxed), so it is bit-identical to the label a forward search from
+// v accumulates along the same path. Only the returned node slice is
+// allocated.
+func (w *Workspace) reconstructToRoot(v, root roadnet.NodeID, g *roadnet.Graph) Path {
+	if w.stamp[v] != w.epoch || math.IsInf(w.dist[v], 1) {
+		return Path{}
+	}
+	n := 1
+	for at := v; at != root; n++ {
+		if at = w.parentOf(at); at == roadnet.InvalidNode {
+			return Path{}
+		}
+	}
+	nodes := make([]roadnet.NodeID, n)
+	cost := 0.0
+	at := v
+	for i := range nodes {
+		nodes[i] = at
+		if at == root {
+			break
+		}
+		next := w.parent[at]
+		c, _ := g.ArcCost(at, next)
+		cost += c
+		at = next
+	}
+	return Path{Nodes: nodes, Cost: cost}
+}
+
 // Dijkstra computes the shortest path from source to dest with early
 // termination when dest is settled, reusing this workspace's storage. It is
 // the workspace form of the package-level Dijkstra and returns identical

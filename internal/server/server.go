@@ -82,12 +82,17 @@ type Config struct {
 	// oversubscribe the machine. 0 means no cap.
 	MaxConcurrentSearches int
 	// TreeCache enables the SSMD tree cache with capacity for that many
-	// settled spanning trees (see search.TreeCache): obfuscated queries
-	// whose source sets overlap reuse each other's Dijkstra trees instead
-	// of recomputing them. 0 disables the cache. Only StrategySSMD benefits.
-	// Each cached tree costs O(nodes) memory. The cache changes reported
-	// search statistics (cache hits count only incremental work) but never
-	// the returned paths.
+	// settled spanning trees (see search.TreeCache), keyed by (root,
+	// direction): forward trees rooted at sources, reverse trees rooted at
+	// destinations and grown over in-arcs. Each query is evaluated from the
+	// side whose endpoints have more live trees (ties: the side whose
+	// endpoints all recur in a short key-only history, then the smaller
+	// side, then forward), so obfuscated queries whose sources or destinations
+	// recur reuse each other's Dijkstra trees instead of recomputing them.
+	// 0 disables the cache. Only StrategySSMD benefits. Each cached tree
+	// costs O(nodes) memory. The cache changes reported search statistics
+	// (cache hits count only incremental work) but never the returned
+	// path costs.
 	TreeCache int
 	// Paged enables the disk simulation: the graph is laid out in
 	// connectivity-clustered pages and accessed through an LRU buffer pool.
@@ -834,6 +839,11 @@ func (s *Server) publishDerivedMetrics() {
 		s.metrics.SetGauge("tree_cache_hit_ratio", st.HitRatio())
 		s.metrics.SetGauge("tree_cache_hits", float64(st.Hits))
 		s.metrics.SetGauge("tree_cache_misses", float64(st.Misses))
+		s.metrics.SetGauge("tree_cache_forward_hits", float64(st.ForwardHits))
+		s.metrics.SetGauge("tree_cache_forward_misses", float64(st.ForwardMisses))
+		s.metrics.SetGauge("tree_cache_reverse_hits", float64(st.ReverseHits))
+		s.metrics.SetGauge("tree_cache_reverse_misses", float64(st.ReverseMisses))
+		s.metrics.SetGauge("tree_cache_reverse_queries", float64(st.ReverseQueries))
 		s.metrics.SetGauge("tree_cache_resumes", float64(st.Resumes))
 		s.metrics.SetGauge("tree_cache_evictions", float64(st.Evictions))
 		s.metrics.SetGauge("tree_cache_invalidations", float64(st.Invalidations))

@@ -18,8 +18,9 @@ import (
 //     current snapshot atomically — queries in flight keep their pinned
 //     pre-update snapshot, queries admitted afterwards pin the new one, and
 //     no query ever sees a mix.
-//  2. The SSMD tree cache invalidates itself: cached spanning trees are
-//     keyed by accessor generation, which the swap bumped.
+//  2. The SSMD tree cache invalidates itself: cached spanning trees, forward
+//     and reverse, are keyed by accessor generation, which the swap bumped;
+//     reverse trees grow over the new snapshot's own reverse CSR.
 //  3. The CH overlay cannot serve the new metric until its weight layer is
 //     re-customized. Until then the routing check in chooseProcessor (and
 //     the engines' own checksum/generation verification, for races that

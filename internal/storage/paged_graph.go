@@ -78,16 +78,20 @@ func (p *PagedGraph) NumNodes() int { return p.store.graph.NumNodes() }
 // Arcs implements Accessor. Reading a node's adjacency list requires its page
 // to be resident, so the access is charged to the buffer pool.
 func (p *PagedGraph) Arcs(id roadnet.NodeID) []roadnet.Arc {
-	p.pool.Access(p.store.PageOf(id))
+	p.touch(id)
 	return p.store.graph.Arcs(id)
 }
 
 // ForEachArc implements Accessor. The node's page is charged once per
 // iteration, exactly like Arcs.
 func (p *PagedGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool) {
-	p.pool.Access(p.store.PageOf(id))
+	p.touch(id)
 	p.store.graph.ForEachArc(id, yield)
 }
+
+// touch charges the buffer-pool access for the page holding id. Its reverse
+// view (ReverseGraph) charges in-arc reads through the same method.
+func (p *PagedGraph) touch(id roadnet.NodeID) { p.pool.Access(p.store.PageOf(id)) }
 
 // Euclid implements Accessor.
 func (p *PagedGraph) Euclid(a, b roadnet.NodeID) float64 { return p.store.graph.Euclid(a, b) }
