@@ -5,7 +5,7 @@
 //
 //	opaque-preprocess -network network.txt -out network.och
 //	opaque-preprocess -generate tigerlike -nodes 50000 -out net.och -check 100
-//	opaque-server -network network.txt -strategy ch -ch-overlay network.och
+//	opaque-server -network network.txt -strategy hybrid -ch-overlay network.och
 //
 // The overlay embeds a checksum of the graph it was built from; the server
 // refuses to install it against any other map.

@@ -7,7 +7,6 @@
 //	opaque-server -network network.txt -listen :7001
 //	opaque-server -generate tigerlike -nodes 20000 -listen :7001
 //	opaque-server -network network.txt -strategy hybrid -ch-overlay network.och
-//	opaque-server -network network.txt -strategy ch-mtm -ch-overlay network.och
 //
 // With -profiles the server precustomizes time-of-day weight-profile layers
 // (e.g. am-peak) that queries select by name with zero customization work on
@@ -51,23 +50,20 @@ func main() {
 		nodes         = flag.Int("nodes", 10000, "node count when generating")
 		seed          = flag.Uint64("seed", 42, "generation seed")
 		listen        = flag.String("listen", ":7001", "TCP listen address for obfuscator connections")
-		strategy      = flag.String("strategy", "ssmd", "query evaluation strategy: ssmd | pairwise | pairwise-astar | pairwise-alt | ch | ch-mtm | hybrid")
+		strategy      = flag.String("strategy", "ssmd", "query evaluation strategy: ssmd | hybrid")
 		workers       = flag.Int("workers", 1, "concurrent per-source searches per query")
 		batchWorkers  = flag.Int("batch-workers", 0, "concurrent queries per batch in the batch engine (0 = GOMAXPROCS)")
 		maxSearches   = flag.Int("max-searches", 0, "server-wide cap on concurrent per-source searches (0 = unbounded)")
 		treeCache     = flag.Int("tree-cache", 0, "SSMD tree cache capacity in trees (0 disables the cache)")
 		paged         = flag.Bool("paged", false, "simulate disk-resident storage with an LRU buffer pool")
 		bufferPages   = flag.Int("buffer-pages", 256, "buffer pool capacity in pages (with -paged)")
-		landmarks     = flag.Int("landmarks", 0, "prepare this many ALT landmarks at startup (required for -strategy pairwise-alt)")
-		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy ch|hybrid; empty = contract at startup)")
-		chMaxPairs    = flag.Int("ch-max-pairs", 0, "hybrid cutover: queries with at most this many |S|·|T| pairs go to the CH overlay (0 = default)")
+		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
 		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: weight updates re-customize only the touched cells (0 = flat; ignored with -ch-overlay, whose file carries its own partition)")
 		profiles      = flag.String("profiles", "", `precustomize weight-profile layers: "timeofday" for the built-in catalog, or a comma list of catalog names (am-peak,pm-peak,offpeak,night); queries select one by name`)
 		profileCap    = flag.Int("profile-capacity", 0, "max resident profile layers behind the LRU (0 = all configured; with -profiles)")
 		churn         = flag.Float64("churn", 0, "synthesize a streaming traffic feed at this many weight-change events/sec through the coalescing ingestion pipeline (0 disables)")
 		churnArcs     = flag.Int("churn-arcs", 64, "hot-arc pool size of the synthetic -churn stream")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
-		legacyOneShot = flag.Bool("legacy-oneshot", false, "serve the legacy one-shot gob protocol instead of the multiplexed framed transport")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the multiplexed transport (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
 	)
@@ -88,27 +84,18 @@ func main() {
 	cfg.Paged = *paged
 	cfg.PageConfig = storage.DefaultConfig()
 	cfg.BufferPages = *bufferPages
-	cfg.Landmarks = *landmarks
-	cfg.CHMaxPairs = *chMaxPairs
 	// Refuse misdirected CH flags rather than silently serve with them
-	// ignored: -ch-overlay needs a CH-capable strategy, and the pair cutover
-	// only exists in hybrid routing (-strategy ch sends everything to CH).
-	if *chOverlay != "" && cfg.Strategy != server.StrategyCH && cfg.Strategy != server.StrategyCHMTM && cfg.Strategy != server.StrategyHybrid {
-		log.Fatalf("-ch-overlay requires -strategy ch, ch-mtm or hybrid (got %q)", cfg.Strategy)
-	}
-	if *chMaxPairs != 0 && cfg.Strategy != server.StrategyHybrid {
-		log.Fatalf("-ch-max-pairs requires -strategy hybrid (got %q)", cfg.Strategy)
-	}
-	if *chMaxPairs < 0 {
-		log.Fatalf("-ch-max-pairs must be non-negative (got %d); server.New would silently fall back to the default cutover", *chMaxPairs)
+	// ignored: only hybrid routing uses an overlay.
+	if *chOverlay != "" && cfg.Strategy != server.StrategyHybrid {
+		log.Fatalf("-ch-overlay requires -strategy hybrid (got %q)", cfg.Strategy)
 	}
 	if *partition > 0 && *chOverlay != "" {
 		log.Fatalf("-partition-cells shapes the startup contraction and cannot apply to a loaded overlay; build the partitioned file with opaque-preprocess -partition-cells instead")
 	}
-	if *partition > 0 && cfg.Strategy != server.StrategyCH && cfg.Strategy != server.StrategyCHMTM && cfg.Strategy != server.StrategyHybrid {
-		log.Fatalf("-partition-cells requires -strategy ch, ch-mtm or hybrid (got %q)", cfg.Strategy)
+	if *partition > 0 && cfg.Strategy != server.StrategyHybrid {
+		log.Fatalf("-partition-cells requires -strategy hybrid (got %q)", cfg.Strategy)
 	}
-	if cfg.Strategy == server.StrategyCH || cfg.Strategy == server.StrategyCHMTM || cfg.Strategy == server.StrategyHybrid {
+	if cfg.Strategy == server.StrategyHybrid {
 		if *chOverlay != "" {
 			overlay, err := ch.ReadFile(*chOverlay)
 			if err != nil {
@@ -119,7 +106,7 @@ func main() {
 		} else {
 			// Contract here rather than through Config.BuildCH so the logged
 			// duration covers exactly the contraction pass, not the rest of
-			// server construction (page store, landmarks, …).
+			// server construction (page store, profiles, …).
 			log.Printf("no -ch-overlay given; contracting the map at startup (persist one with opaque-preprocess to skip this)")
 			buildCfg := ch.DefaultBuildConfig()
 			// Customizable contraction lets the in-memory server absorb live
@@ -201,13 +188,6 @@ func main() {
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("listening on %s: %v", *listen, err)
-	}
-	if *legacyOneShot {
-		log.Printf("obfuscated path query processor ready on %s (strategy=%s, paged=%v, legacy one-shot protocol)", ln.Addr(), cfg.Strategy, cfg.Paged)
-		if err := srv.Serve(ln); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		return
 	}
 	log.Printf("obfuscated path query processor ready on %s (strategy=%s, paged=%v, multiplexed transport)", ln.Addr(), cfg.Strategy, cfg.Paged)
 	if err := srv.ServeMux(ln, protocol.MuxServerConfig{MaxInFlight: *maxInFlight, ShedAt: *shedAt}); err != nil {

@@ -400,7 +400,7 @@ func TestEngineEdgeCases(t *testing.T) {
 
 // TestEngineThroughProcessor installs the overlay as the processor's point
 // engine and asserts Q(S, T) answers match the SSMD strategy — the exact
-// wiring the server uses for StrategyCH.
+// wiring the server uses for hybrid's pairwise route.
 func TestEngineThroughProcessor(t *testing.T) {
 	g := randomIntCostGraph(t, 150, 200, 21)
 	acc := storage.NewMemoryGraph(g)

@@ -109,43 +109,6 @@ func TestRemoteClientOverTCP(t *testing.T) {
 	}
 }
 
-// TestLegacyOneShotRoundTrip pins the -legacy-oneshot compatibility path: an
-// obfuscator serving the one-shot gob protocol, a client dialled with
-// WithLegacyOneShot, one full query round trip.
-func TestLegacyOneShotRoundTrip(t *testing.T) {
-	g, svc, _ := testSetup(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = svc.Serve(ln) }()
-	defer ln.Close()
-
-	c, err := Dial("carol", ln.Addr().String(), WithProtection(2, 2), WithLegacyOneShot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 2, Seed: 98})
-	acc := storage.NewMemoryGraph(g)
-	for _, pr := range wl {
-		res, err := c.Query(pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Found || res.Path.Empty() {
-			t.Fatalf("legacy query result = %+v", res)
-		}
-		truth, _, err := search.Dijkstra(acc, pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(truth.Cost-res.Path.Cost) > 1e-6 {
-			t.Errorf("legacy client cost %v, shortest %v", res.Path.Cost, truth.Cost)
-		}
-	}
-}
-
 func TestDialValidation(t *testing.T) {
 	if _, err := Dial("", "127.0.0.1:1"); err == nil {
 		t.Error("empty user accepted")

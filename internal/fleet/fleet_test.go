@@ -96,9 +96,11 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 }
 
 // TestFleetEquivalence is the scatter/gather property test behind the
-// acceptance criteria: for every evaluation strategy and both fleet shapes, a
+// acceptance criteria: for both server strategies and both fleet shapes, a
 // router over two shards answers an E15-style workload with exactly the
-// distance tables and paths a single server produces.
+// distance tables (and, under SSMD, paths) a single server produces. The
+// workload's shapes straddle the hybrid cutover, so both overlay routes are
+// exercised on the reference and on the shards.
 func TestFleetEquivalence(t *testing.T) {
 	g := testGraph(t, 400, 1201)
 	qs := makeQueries(g, 20, 4301)
@@ -109,18 +111,6 @@ func TestFleetEquivalence(t *testing.T) {
 		pathsMayDiffer bool
 	}{
 		{"ssmd", server.DefaultConfig, false},
-		{"ch", func() server.Config {
-			c := server.DefaultConfig()
-			c.Strategy = server.StrategyCH
-			c.BuildCH = true
-			return c
-		}, false},
-		{"ch-mtm", func() server.Config {
-			c := server.DefaultConfig()
-			c.Strategy = server.StrategyCHMTM
-			c.BuildCH = true
-			return c
-		}, false},
 		{"hybrid", func() server.Config {
 			c := server.DefaultConfig()
 			c.Strategy = server.StrategyHybrid
@@ -161,6 +151,20 @@ func TestFleetEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameReply(t, fmt.Sprintf("batch q%d", qs[i].QueryID), replies[i], want, st.pathsMayDiffer)
+				}
+
+				if st.name == "hybrid" {
+					var shardCH, shardMTM int64
+					for i := 0; i < cl.NumShards(); i++ {
+						m := cl.Shard(i).Server().Metrics()
+						shardCH += m.Counter("ch_queries")
+						shardMTM += m.Counter("mtm_queries")
+					}
+					rm := ref.Metrics()
+					if rm.Counter("ch_queries") == 0 || rm.Counter("mtm_queries") == 0 || shardCH == 0 || shardMTM == 0 {
+						t.Errorf("hybrid routes not both exercised: reference ch/mtm = %d/%d, shards ch/mtm = %d/%d",
+							rm.Counter("ch_queries"), rm.Counter("mtm_queries"), shardCH, shardMTM)
+					}
 				}
 
 				if mode == fleet.ModePartition {
@@ -403,7 +407,11 @@ func TestFleetMergeRefusal(t *testing.T) {
 	g := testGraph(t, 300, 1701)
 	cl, err := fleettest.New(g, fleettest.Options{
 		Shards: 2,
-		Fleet:  fleet.Config{SkewRetries: 2, RetryBackoff: 1},
+		// UpdateQuorum 2: the convergence broadcast below returns only
+		// once both shards applied it. Under the default quorum of 1 the
+		// second shard's apply may still be in flight when the next query
+		// scatters, and the two 1ns skew retries can outrun it.
+		Fleet: fleet.Config{SkewRetries: 2, RetryBackoff: 1, UpdateQuorum: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

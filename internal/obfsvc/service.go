@@ -9,7 +9,6 @@ package obfsvc
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,67 +45,6 @@ type ExecutorFunc func(q protocol.ServerQuery) (protocol.ServerReply, error)
 
 // Execute implements QueryExecutor.
 func (f ExecutorFunc) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) { return f(q) }
-
-// RemoteExecutor sends queries to a server over a protocol.Conn. It
-// implements BatchExecutor: whole obfuscation plans travel as one
-// protocol.BatchQuery round trip.
-type RemoteExecutor struct {
-	conn    *protocol.Conn
-	batchID atomic.Uint64
-}
-
-// NewRemoteExecutor wraps an established connection to the server.
-func NewRemoteExecutor(conn *protocol.Conn) *RemoteExecutor { return &RemoteExecutor{conn: conn} }
-
-// Execute implements QueryExecutor.
-func (r *RemoteExecutor) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
-	reply, err := r.conn.Call(q)
-	if err != nil {
-		return protocol.ServerReply{}, err
-	}
-	switch m := reply.(type) {
-	case protocol.ServerReply:
-		return m, nil
-	case protocol.ErrorReply:
-		return protocol.ServerReply{}, fmt.Errorf("obfsvc: server error: %s", m.Message)
-	default:
-		return protocol.ServerReply{}, fmt.Errorf("obfsvc: unexpected server reply type %T", reply)
-	}
-}
-
-// ExecuteBatch implements BatchExecutor over one BatchQuery round trip. A
-// transport or whole-batch failure is reported in every error slot.
-func (r *RemoteExecutor) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
-	replies := make([]protocol.ServerReply, len(qs))
-	errs := make([]error, len(qs))
-	failAll := func(err error) ([]protocol.ServerReply, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return replies, errs
-	}
-	raw, err := r.conn.Call(protocol.BatchQuery{BatchID: r.batchID.Add(1), Queries: qs})
-	if err != nil {
-		return failAll(err)
-	}
-	switch m := raw.(type) {
-	case protocol.BatchReply:
-		if len(m.Replies) != len(qs) || len(m.Errors) > len(qs) {
-			return failAll(fmt.Errorf("obfsvc: batch reply has %d replies / %d errors for %d queries", len(m.Replies), len(m.Errors), len(qs)))
-		}
-		copy(replies, m.Replies)
-		for i, msg := range m.Errors {
-			if msg != "" {
-				errs[i] = fmt.Errorf("obfsvc: server error: %s", msg)
-			}
-		}
-		return replies, errs
-	case protocol.ErrorReply:
-		return failAll(fmt.Errorf("obfsvc: server error: %s", m.Message))
-	default:
-		return failAll(fmt.Errorf("obfsvc: unexpected server reply type %T", raw))
-	}
-}
 
 // Config parameterises the obfuscator service.
 type Config struct {
@@ -453,42 +391,6 @@ func (s *Service) flush() {
 // Flush forces any pending requests to be processed immediately; tests and
 // shutdown paths use it.
 func (s *Service) Flush() { s.flush() }
-
-// Handler returns a protocol.Handler that answers ClientRequest messages from
-// networked clients. Each request is submitted through the batching path and
-// the reply is sent when its batch completes.
-func (s *Service) Handler() protocol.Handler {
-	return func(msg any) (any, error) {
-		req, ok := msg.(protocol.ClientRequest)
-		if !ok {
-			return nil, fmt.Errorf("obfsvc: unexpected message type %T", msg)
-		}
-		res := <-s.Submit(obfuscate.Request{
-			User:    obfuscate.UserID(req.User),
-			Source:  req.Source,
-			Dest:    req.Dest,
-			FS:      req.FS,
-			FT:      req.FT,
-			Profile: req.Profile,
-		})
-		reply := protocol.ClientReply{RequestID: req.RequestID, Found: res.Found}
-		if res.Err != nil {
-			reply.Error = res.Err.Error()
-		}
-		if res.Found {
-			reply.Path = res.Path.Nodes
-			reply.Cost = res.Path.Cost
-		}
-		return reply, nil
-	}
-}
-
-// Serve accepts client connections on ln until the listener closes. The
-// channel between clients and the obfuscator is assumed secure (e.g. TLS in a
-// real deployment); securing it is outside the paper's scope and ours.
-func (s *Service) Serve(ln net.Listener) error {
-	return protocol.ServeListener(ln, s.Handler())
-}
 
 // candidateSet adapts a ServerReply to the filter.CandidateSet interface.
 // It indexes the wire candidates as-is and converts a candidate to a

@@ -225,16 +225,22 @@ func TestHandlerAndServeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = svc.Serve(ln) }()
+	go func() { _ = svc.ServeMux(ln, protocol.MuxServerConfig{}) }()
 	defer ln.Close()
 
-	conn, err := protocol.Dial(ln.Addr().String())
+	conn, err := protocol.DialMux(ln.Addr().String(), protocol.Hello{Node: "tcp-user", Role: "client"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 1, Seed: 90})
-	reply, err := conn.Call(protocol.ClientRequest{RequestID: 9, User: "tcp-user", Source: wl[0].Source, Dest: wl[0].Dest, FS: 2, FT: 2})
+	req := protocol.ClientRequest{RequestID: 9, User: "tcp-user", Source: wl[0].Source, Dest: wl[0].Dest, FS: 2, FT: 2}
+	// A wrong message type gets an error reply, not a dropped connection.
+	var re *protocol.RemoteError
+	if _, err := conn.Do(protocol.ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{1}}); !errors.As(err, &re) {
+		t.Errorf("wrong message type: err = %v, want a remote error reply", err)
+	}
+	reply, err := conn.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,27 +253,38 @@ func TestHandlerAndServeOverTCP(t *testing.T) {
 	}
 }
 
-func TestRemoteExecutor(t *testing.T) {
+// TestMuxExecutorOverTCP drives MuxExecutor against a server's ServeMux
+// listener: one unary query and one streamed batch with a failing slot.
+func TestMuxExecutorOverTCP(t *testing.T) {
 	g := testGraph(t)
 	srv := server.MustNew(g, server.DefaultConfig())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(ln) }()
+	go func() { _ = srv.ServeMux(ln, protocol.MuxServerConfig{}) }()
 	defer ln.Close()
-	conn, err := protocol.Dial(ln.Addr().String())
+	exec, err := DialMuxExecutor(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	exec := NewRemoteExecutor(conn)
+	defer exec.Close()
 	reply, err := exec.Execute(protocol.ServerQuery{QueryID: 2, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.QueryID != 2 || len(reply.Paths) != 1 {
 		t.Errorf("remote executor reply = %+v", reply)
+	}
+	replies, errs := exec.ExecuteBatch([]protocol.ServerQuery{
+		{QueryID: 3, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{5, 6}},
+		{QueryID: 4, Sources: []roadnet.NodeID{1}},
+	})
+	if errs[0] != nil || replies[0].QueryID != 3 || len(replies[0].Paths) != 2 {
+		t.Errorf("batch slot 0: reply %+v, err %v", replies[0], errs[0])
+	}
+	if errs[1] == nil {
+		t.Error("batch slot 1 has no destinations but did not fail")
 	}
 }
 

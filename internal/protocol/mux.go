@@ -1,9 +1,8 @@
 package protocol
 
-// This file is the multiplexed transport that replaces the one-shot
-// request/response Conn for production serving: one persistent connection
-// carries many concurrent requests as OPMX1 frames (frame.go), correlated by
-// request ID. On top of the frame layer it provides
+// This file is the multiplexed transport every hop serves over: one
+// persistent connection carries many concurrent requests as OPMX1 frames
+// (frame.go), correlated by request ID. On top of the frame layer it provides
 //
 //   - a Hello/Welcome handshake: the dialling side announces itself, the
 //     accepting side answers with its identity, data generation, weight
@@ -507,10 +506,10 @@ func (c *MuxClient) Ping(deadline time.Time) (Hello, error) {
 }
 
 // DoBatch sends a batch query and reassembles its streamed reply: one
-// BatchItem per query in any completion order, closed by a stream end. A
-// server answering with a buffered BatchReply (one FrameMsg) is accepted
-// too. Per-query failures land in the returned BatchReply.Errors; the error
-// return is reserved for whole-batch and transport failures.
+// BatchItem per query in any completion order, closed by a stream end.
+// Per-query failures land in the returned BatchReply.Errors; the error
+// return is reserved for whole-batch and transport failures, and for a peer
+// that answers with anything but the stream (a unary FrameMsg included).
 func (c *MuxClient) DoBatch(b BatchQuery) (BatchReply, error) {
 	return c.DoBatchDeadline(b, time.Time{})
 }
@@ -555,12 +554,6 @@ func (c *MuxClient) DoBatchDeadline(b BatchQuery, deadline time.Time) (BatchRepl
 			reply.Errors[item.Index] = item.Error
 		case FrameStreamEnd:
 			return reply, nil
-		case FrameMsg:
-			// Buffered whole-batch answer from a non-streaming server.
-			if br, ok := ev.msg.(BatchReply); ok {
-				return br, nil
-			}
-			return BatchReply{}, fmt.Errorf("protocol: unexpected batch reply %T", ev.msg)
 		case FrameErr:
 			if er, ok := ev.msg.(ErrorReply); ok {
 				return BatchReply{}, &RemoteError{Msg: er.Message}

@@ -137,6 +137,21 @@ func TestMuxStreamingBatch(t *testing.T) {
 	}
 }
 
+// TestMuxBatchRejectsUnaryReply asserts DoBatch accepts only the streamed
+// answer: a peer that answers a batch with one unary message is a protocol
+// error, not a reply.
+func TestMuxBatchRejectsUnaryReply(t *testing.T) {
+	unary := MuxHandlerFunc(func(msg any, _ ReqInfo) (any, error) {
+		return ServerReply{QueryID: 1}, nil
+	})
+	c := muxPair(t, unary, MuxServerConfig{})
+	_, err := c.DoBatch(BatchQuery{BatchID: 1, Queries: []ServerQuery{{QueryID: 1}}})
+	var re *RemoteError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("DoBatch over a unary reply: err = %v, want a protocol error", err)
+	}
+}
+
 func TestMuxRemoteError(t *testing.T) {
 	h := MuxHandlerFunc(func(msg any, _ ReqInfo) (any, error) {
 		return nil, fmt.Errorf("handler exploded")

@@ -1,8 +1,8 @@
 // Package protocol defines the messages exchanged between the three OPAQUE
-// roles (client, obfuscator, directions search server) and codecs/transports
-// to carry them. Two transports are provided: an in-process transport for
-// experiments and tests, and a length-prefixed gob transport over TCP for the
-// networked deployment built by the cmd/ binaries.
+// roles (client, obfuscator, directions search server) and the transport that
+// carries them: the OPMX1 multiplexed framed transport (frame.go, mux.go),
+// which every networked hop of the cmd/ binaries speaks over TCP and
+// in-process harnesses drive over net.Pipe.
 //
 // The message boundary mirrors Figure 6 of the paper:
 //
@@ -11,17 +11,15 @@
 //	server      → obfuscator : ServerReply    candidate result paths
 //	obfuscator  → client     : ClientReply    P(s, t)
 //
-// On top of the per-query exchange, BatchQuery/BatchReply carry a whole batch
-// of obfuscated queries in one round trip, so a networked obfuscator can hand
-// the server's batch engine an entire obfuscation plan (all Q(S, T) of one
-// batching window) and amortise both framing and evaluation.
+// On top of the per-query exchange, BatchQuery carries a whole batch of
+// obfuscated queries in one round trip, answered by one BatchItem per query,
+// so a networked obfuscator can hand the server's batch engine an entire
+// obfuscation plan (all Q(S, T) of one batching window) and amortise both
+// framing and evaluation.
 package protocol
 
 import (
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
@@ -38,6 +36,9 @@ const (
 	TypeServerReply
 	TypeError
 	TypeBatchQuery
+	// TypeBatchReply is reserved: batch replies stream as BatchItem frames
+	// and never travel as one message. The value stays so later type
+	// numbers do not shift.
 	TypeBatchReply
 	TypeBatchItem
 	TypeWeightUpdate
@@ -117,7 +118,9 @@ type ServerReply struct {
 	// not pin a stable identity because an update raced the evaluation), so
 	// a distributed answer never mixes generations across shards. Generation
 	// numbers are per-server and not comparable across shards; ContentSum
-	// is content-derived and is. Both are 0 on legacy replies.
+	// is content-derived and is. Profile replies carry Generation 0 (profile
+	// metrics never change); a reply whose identity an update raced carries
+	// 0 in both.
 	Generation uint64
 	ContentSum uint64
 	// Profile echoes the weight profile the query was answered under ("" =
@@ -138,9 +141,10 @@ type BatchQuery struct {
 	Queries []ServerQuery
 }
 
-// BatchReply answers a BatchQuery: one reply per query, in query order.
-// Queries that failed individually have their error message in Errors at the
-// same index (empty string = success) rather than failing the whole batch.
+// BatchReply is a BatchQuery answer as MuxClient.DoBatch reassembles it from
+// the streamed items: one reply per query, in query order. Queries that
+// failed individually have their error message in Errors at the same index
+// (empty string = success) rather than failing the whole batch.
 type BatchReply struct {
 	BatchID uint64
 	Replies []ServerReply
@@ -212,17 +216,16 @@ type Envelope struct {
 	// (obfuscator → router → shard) sees the same wall-clock budget: the
 	// serving side drops work whose deadline expired before evaluation
 	// started instead of burning cycles on an answer nobody is waiting for.
-	Deadline  int64            `json:",omitempty"`
-	Request   *ClientRequest   `json:",omitempty"`
-	Reply     *ClientReply     `json:",omitempty"`
-	Query     *ServerQuery     `json:",omitempty"`
-	Result    *ServerReply     `json:",omitempty"`
-	Batch     *BatchQuery      `json:",omitempty"`
-	BatchRes  *BatchReply      `json:",omitempty"`
-	BatchItem *BatchItem       `json:",omitempty"`
-	Update    *WeightUpdate    `json:",omitempty"`
-	UpdateAck *WeightUpdateAck `json:",omitempty"`
-	Err       *ErrorReply      `json:",omitempty"`
+	Deadline  int64
+	Request   *ClientRequest
+	Reply     *ClientReply
+	Query     *ServerQuery
+	Result    *ServerReply
+	Batch     *BatchQuery
+	BatchItem *BatchItem
+	Update    *WeightUpdate
+	UpdateAck *WeightUpdateAck
+	Err       *ErrorReply
 }
 
 // Wrap builds an Envelope from a concrete message. It returns an error for
@@ -249,10 +252,6 @@ func Wrap(msg any) (Envelope, error) {
 		return Envelope{Type: TypeBatchQuery, Batch: &m}, nil
 	case *BatchQuery:
 		return Envelope{Type: TypeBatchQuery, Batch: m}, nil
-	case BatchReply:
-		return Envelope{Type: TypeBatchReply, BatchRes: &m}, nil
-	case *BatchReply:
-		return Envelope{Type: TypeBatchReply, BatchRes: m}, nil
 	case BatchItem:
 		return Envelope{Type: TypeBatchItem, BatchItem: &m}, nil
 	case *BatchItem:
@@ -302,11 +301,6 @@ func (e Envelope) Unwrap() (any, error) {
 			return nil, fmt.Errorf("protocol: batch query envelope without payload")
 		}
 		return *e.Batch, nil
-	case TypeBatchReply:
-		if e.BatchRes == nil {
-			return nil, fmt.Errorf("protocol: batch reply envelope without payload")
-		}
-		return *e.BatchRes, nil
 	case TypeBatchItem:
 		if e.BatchItem == nil {
 			return nil, fmt.Errorf("protocol: batch item envelope without payload")
@@ -331,44 +325,3 @@ func (e Envelope) Unwrap() (any, error) {
 		return nil, fmt.Errorf("protocol: unknown message type %d", e.Type)
 	}
 }
-
-// Codec encodes and decodes envelopes on a stream.
-type Codec interface {
-	Encode(Envelope) error
-	Decode(*Envelope) error
-}
-
-// GobCodec frames envelopes with encoding/gob; it is the default wire codec.
-type GobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-// NewGobCodec builds a codec reading from r and writing to w.
-func NewGobCodec(r io.Reader, w io.Writer) *GobCodec {
-	return &GobCodec{enc: gob.NewEncoder(w), dec: gob.NewDecoder(r)}
-}
-
-// Encode implements Codec.
-func (c *GobCodec) Encode(e Envelope) error { return c.enc.Encode(e) }
-
-// Decode implements Codec.
-func (c *GobCodec) Decode(e *Envelope) error { return c.dec.Decode(e) }
-
-// JSONCodec frames envelopes as newline-delimited JSON; useful for debugging
-// and cross-language clients.
-type JSONCodec struct {
-	enc *json.Encoder
-	dec *json.Decoder
-}
-
-// NewJSONCodec builds a JSON codec reading from r and writing to w.
-func NewJSONCodec(r io.Reader, w io.Writer) *JSONCodec {
-	return &JSONCodec{enc: json.NewEncoder(w), dec: json.NewDecoder(r)}
-}
-
-// Encode implements Codec.
-func (c *JSONCodec) Encode(e Envelope) error { return c.enc.Encode(e) }
-
-// Decode implements Codec.
-func (c *JSONCodec) Decode(e *Envelope) error { return c.dec.Decode(e) }

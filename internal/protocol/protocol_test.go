@@ -1,7 +1,8 @@
 package protocol
 
 import (
-	"bytes"
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -57,52 +58,79 @@ func TestWrapPointerAndUnsupported(t *testing.T) {
 	}
 }
 
+// TestGobCodecRoundTrip drives every message type through the mux envelope
+// codec — the one gob decoder of network bytes — on one persistent stream,
+// the way a connection carries them, with the deadline riding along.
 func TestGobCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	codec := NewGobCodec(&buf, &buf)
-	want, err := Wrap(ServerQuery{QueryID: 7, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2, 3}})
-	if err != nil {
-		t.Fatal(err)
+	messages := []any{
+		ClientRequest{RequestID: 1, User: "alice", Source: 2, Dest: 3, FS: 4, FT: 5, Profile: "am-peak"},
+		ClientReply{RequestID: 1, Found: true, Path: []roadnet.NodeID{1, 2, 3}, Cost: 7},
+		ServerQuery{QueryID: 7, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2, 3}, DistanceOnly: true},
+		ServerReply{QueryID: 9, SettledNodes: 10, Generation: 2, ContentSum: 0xbeef, Paths: []CandidatePath{{Source: 1, Dest: 3, Found: true, Nodes: []roadnet.NodeID{1, 3}, Cost: 2}}},
+		BatchQuery{BatchID: 5, Queries: []ServerQuery{{QueryID: 1, Sources: []roadnet.NodeID{4}, Dests: []roadnet.NodeID{5}}}},
+		BatchItem{BatchID: 5, Index: 0, Reply: ServerReply{QueryID: 1}, Error: "x"},
+		WeightUpdate{UpdateID: 3, Changes: []roadnet.ArcWeightChange{{From: 1, To: 2, NewCost: 4.5}}},
+		WeightUpdateAck{UpdateID: 3, Generation: 4, ContentSum: 0xfeed},
+		ErrorReply{RefID: 4, Message: "boom"},
 	}
-	if err := codec.Encode(want); err != nil {
-		t.Fatal(err)
+	enc, dec := newEnvelopeCodec(), newEnvelopeCodec()
+	for i, msg := range messages {
+		payload, err := enc.encode(msg, int64(i))
+		if err != nil {
+			t.Fatalf("encode(%T): %v", msg, err)
+		}
+		got, deadline, err := dec.decode(append([]byte(nil), payload...))
+		if err != nil {
+			t.Fatalf("decode(%T): %v", msg, err)
+		}
+		if !reflect.DeepEqual(got, msg) {
+			t.Errorf("gob round trip of %T: got %+v, want %+v", msg, got, msg)
+		}
+		if deadline != int64(i) {
+			t.Errorf("%T: deadline %d, want %d", msg, deadline, i)
+		}
 	}
-	var got Envelope
-	if err := codec.Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	gm, err := got.Unwrap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, _ := want.Unwrap()
-	if !reflect.DeepEqual(gm, wm) {
-		t.Errorf("gob round trip: got %+v, want %+v", gm, wm)
+	if _, err := enc.encode(42, 0); err == nil {
+		t.Error("unsupported message type encoded")
 	}
 }
 
-func TestJSONCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	codec := NewJSONCodec(&buf, &buf)
-	want, err := Wrap(ClientReply{RequestID: 3, Found: true, Path: []roadnet.NodeID{5, 6}, Cost: 1.5})
+// FuzzEnvelopeDecode feeds arbitrary payloads to a fresh envelope decoder,
+// as the first frame of a connection, and to one that has already decoded a
+// valid envelope (so its stream holds registered type descriptions). Every
+// input must yield a message or an error, never a panic.
+func FuzzEnvelopeDecode(f *testing.F) {
+	enc := newEnvelopeCodec()
+	for _, msg := range []any{
+		ServerQuery{QueryID: 7, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2, 3}},
+		BatchQuery{BatchID: 5, Queries: []ServerQuery{{QueryID: 1, Sources: []roadnet.NodeID{4}, Dests: []roadnet.NodeID{5}}}},
+		ClientRequest{RequestID: 1, User: "alice", Source: 2, Dest: 3, FS: 4, FT: 5},
+	} {
+		payload, err := enc.encode(msg, 99)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), payload...))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0x00, 0x01})
+	warm, err := newEnvelopeCodec().encode(ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}}, 0)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if err := codec.Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	var got Envelope
-	if err := codec.Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	gm, err := got.Unwrap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, _ := want.Unwrap()
-	if !reflect.DeepEqual(gm, wm) {
-		t.Errorf("json round trip: got %+v, want %+v", gm, wm)
-	}
+	warm = append([]byte(nil), warm...)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if msg, _, err := newEnvelopeCodec().decode(data); err == nil && msg == nil {
+			t.Fatal("decode accepted a payload without a message")
+		}
+		dec := newEnvelopeCodec()
+		if _, _, err := dec.decode(warm); err != nil {
+			t.Fatalf("warm-up envelope rejected: %v", err)
+		}
+		if msg, _, err := dec.decode(data); err == nil && msg == nil {
+			t.Fatal("decode accepted a payload without a message")
+		}
+	})
 }
 
 func TestPathConversions(t *testing.T) {
@@ -124,91 +152,86 @@ func TestPathConversions(t *testing.T) {
 	}
 }
 
+// TestConnCallOverPipe drives one unary request/response exchange over an
+// in-process net.Pipe connection served by ServeMuxConn.
 func TestConnCallOverPipe(t *testing.T) {
-	clientRaw, serverRaw := net.Pipe()
-	clientConn := NewConn(clientRaw)
-	serverConn := NewConn(serverRaw)
-	defer clientConn.Close()
-
 	// Echo-style server: answers every ServerQuery with a reply carrying the
 	// same query id.
-	go func() {
-		_ = ServeConn(serverConn, func(msg any) (any, error) {
-			q, ok := msg.(ServerQuery)
-			if !ok {
-				return nil, nil
-			}
-			return ServerReply{QueryID: q.QueryID, SettledNodes: 42}, nil
-		})
-	}()
+	c := muxPair(t, MuxHandlerFunc(func(msg any, _ ReqInfo) (any, error) {
+		q, ok := msg.(ServerQuery)
+		if !ok {
+			return nil, fmt.Errorf("unexpected message %T", msg)
+		}
+		return ServerReply{QueryID: q.QueryID, SettledNodes: 42}, nil
+	}), MuxServerConfig{})
 
-	reply, err := clientConn.Call(ServerQuery{QueryID: 11, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}})
+	reply, err := c.Do(ServerQuery{QueryID: 11, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sr, ok := reply.(ServerReply)
 	if !ok || sr.QueryID != 11 || sr.SettledNodes != 42 {
-		t.Errorf("Call reply = %+v", reply)
+		t.Errorf("Do reply = %+v", reply)
 	}
 }
 
+// TestServeConnReportsHandlerErrors asserts a handler error reaches the peer
+// as a RemoteError reply.
 func TestServeConnReportsHandlerErrors(t *testing.T) {
-	clientRaw, serverRaw := net.Pipe()
-	clientConn := NewConn(clientRaw)
-	serverConn := NewConn(serverRaw)
-	defer clientConn.Close()
+	c := muxPair(t, MuxHandlerFunc(func(msg any, _ ReqInfo) (any, error) {
+		return nil, &net.AddrError{Err: "handler exploded", Addr: "x"}
+	}), MuxServerConfig{})
 
-	go func() {
-		_ = ServeConn(serverConn, func(msg any) (any, error) {
-			return nil, &net.AddrError{Err: "handler exploded", Addr: "x"}
-		})
-	}()
-
-	reply, err := clientConn.Call(ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reply.(ErrorReply); !ok {
-		t.Errorf("expected ErrorReply, got %T", reply)
+	_, err := c.Do(ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{1}})
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		t.Errorf("expected RemoteError, got %v", err)
 	}
 }
 
-func TestServeListenerAndDial(t *testing.T) {
+// TestServeMuxAndDialMux runs the transport over real TCP: ServeMux on a
+// listener, DialMux from a client.
+func TestServeMuxAndDialMux(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
 	go func() {
-		_ = ServeListener(ln, func(msg any) (any, error) {
-			q := msg.(ServerQuery)
-			return ServerReply{QueryID: q.QueryID}, nil
-		})
+		defer close(done)
+		_ = ServeMux(ln, echoHandler, MuxServerConfig{Hello: func() Hello { return Hello{Role: "server"} }})
 	}()
-	defer ln.Close()
+	defer func() {
+		ln.Close()
+		<-done
+	}()
 
-	conn, err := Dial(ln.Addr().String())
+	conn, err := DialMux(ln.Addr().String(), Hello{Node: "test", Role: "client"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	reply, err := conn.Call(ServerQuery{QueryID: 5, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{1}})
+	if conn.Peer().Role != "server" {
+		t.Errorf("peer hello = %+v", conn.Peer())
+	}
+	reply, err := conn.Do(ServerQuery{QueryID: 5, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.(ServerReply).QueryID != 5 {
 		t.Errorf("reply = %+v", reply)
 	}
-	if conn.RemoteAddr() == nil {
-		t.Error("RemoteAddr is nil")
-	}
 	// Double close must be safe.
+	if err := conn.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
 	if err := conn.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
-		t.Error("Dial to a closed port succeeded")
+	if _, err := DialMux("127.0.0.1:1", Hello{Role: "client"}); err == nil {
+		t.Error("DialMux to a closed port succeeded")
 	}
 }

@@ -23,24 +23,68 @@ func chTestOverlay(t testing.TB, g *roadnet.Graph) *ch.Overlay {
 	return o
 }
 
-// TestStrategyCHMatchesSSMD runs the same obfuscated queries through a CH
-// server and a plain SSMD server and asserts identical candidate costs and
-// reachability — the server-level face of the CH correctness property.
+// TestStrategyCHMatchesSSMD runs queries of up to DefaultCHMaxPairs
+// candidate pairs — the pairwise CH route of a hybrid server — through a
+// hybrid server with an overlay and a plain SSMD server and asserts
+// identical candidate costs and reachability: the server-level face of the
+// CH correctness property.
 func TestStrategyCHMatchesSSMD(t *testing.T) {
-	g := testGraph(t)
-	chCfg := DefaultConfig()
-	chCfg.Strategy = StrategyCH
-	chCfg.CHOverlay = chTestOverlay(t, g)
-	chSrv := MustNew(g, chCfg)
-	ssmdSrv := MustNew(g, DefaultConfig())
+	queries := []protocol.ServerQuery{
+		{QueryID: 1, Sources: []roadnet.NodeID{700}, Dests: []roadnet.NodeID{3}},
+		{QueryID: 2, Sources: []roadnet.NodeID{1, 50}, Dests: []roadnet.NodeID{200, 400}},
+		{QueryID: 3, Sources: []roadnet.NodeID{10}, Dests: []roadnet.NodeID{11, 21, 31}},
+		{QueryID: 4, Sources: []roadnet.NodeID{1, 700}, Dests: []roadnet.NodeID{600, 3}}, // 2×2: at the cutover
+		{QueryID: 5, Sources: []roadnet.NodeID{5, 5}, Dests: []roadnet.NodeID{5, 9}},     // duplicates and s==t cells
+	}
+	srv := hybridMatchesSSMD(t, queries)
+	m := srv.Metrics()
+	if n := m.Counter("ch_queries"); n != int64(len(queries)) {
+		t.Fatalf("ch_queries = %d, want %d", n, len(queries))
+	}
+	if n := m.Counter("mtm_queries"); n != 0 {
+		t.Fatalf("mtm_queries = %d, want 0", n)
+	}
+}
 
+// TestStrategyCHMTMMatchesSSMD is TestStrategyCHMatchesSSMD for queries
+// wider than DefaultCHMaxPairs, which a hybrid server sends to the
+// many-to-many bucket engine: the server-level face of the many-to-many
+// correctness property.
+func TestStrategyCHMTMMatchesSSMD(t *testing.T) {
 	queries := []protocol.ServerQuery{
 		{QueryID: 1, Sources: []roadnet.NodeID{1, 50}, Dests: []roadnet.NodeID{200, 400, 600}},
-		{QueryID: 2, Sources: []roadnet.NodeID{700}, Dests: []roadnet.NodeID{3}},
-		{QueryID: 3, Sources: []roadnet.NodeID{10, 20, 30}, Dests: []roadnet.NodeID{11, 21, 31}},
+		{QueryID: 2, Sources: []roadnet.NodeID{10, 20, 30}, Dests: []roadnet.NodeID{11, 21, 31}},
+		{QueryID: 3, Sources: []roadnet.NodeID{10, 20, 30, 40}, Dests: []roadnet.NodeID{11, 21, 31, 41, 51, 61}},
+		{QueryID: 4, Sources: []roadnet.NodeID{5, 5, 6}, Dests: []roadnet.NodeID{5, 9}},        // duplicates and s==t cells
+		{QueryID: 5, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{3, 11, 21, 31, 41}}, // 1×5: just above the cutover
 	}
+	srv := hybridMatchesSSMD(t, queries)
+	m := srv.Metrics()
+	if n := m.Counter("mtm_queries"); n != int64(len(queries)) {
+		t.Fatalf("mtm_queries = %d, want %d", n, len(queries))
+	}
+	if n := m.Counter("ch_queries"); n != 0 {
+		t.Fatalf("ch_queries = %d, want 0", n)
+	}
+	if st := srv.MTMStats(); st.Tables != int64(len(queries)) {
+		t.Fatalf("MTM Tables = %d, want %d", st.Tables, len(queries))
+	}
+}
+
+// hybridMatchesSSMD evaluates queries on a hybrid server with an overlay
+// and on a plain SSMD server, fails t unless every candidate agrees in
+// endpoints, reachability and cost, and returns the hybrid server so the
+// caller can check which route answered.
+func hybridMatchesSSMD(t *testing.T, queries []protocol.ServerQuery) *Server {
+	t.Helper()
+	g := testGraph(t)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.CHOverlay = chTestOverlay(t, g)
+	hybridSrv := MustNew(g, cfg)
+	ssmdSrv := MustNew(g, DefaultConfig())
 	for _, q := range queries {
-		got, err := chSrv.Evaluate(q)
+		got, err := hybridSrv.Evaluate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,17 +100,15 @@ func TestStrategyCHMatchesSSMD(t *testing.T) {
 			if gp.Source != wp.Source || gp.Dest != wp.Dest {
 				t.Fatalf("query %d: candidate %d is for (%d,%d), want (%d,%d)", q.QueryID, i, gp.Source, gp.Dest, wp.Source, wp.Dest)
 			}
-			if len(gp.Nodes) == 0 != (len(wp.Nodes) == 0) {
+			if (len(gp.Nodes) == 0) != (len(wp.Nodes) == 0) {
 				t.Fatalf("query %d pair (%d,%d): reachability disagrees", q.QueryID, gp.Source, gp.Dest)
 			}
 			if len(gp.Nodes) != 0 && math.Abs(gp.Cost-wp.Cost) > 1e-9*(1+wp.Cost) {
-				t.Fatalf("query %d pair (%d,%d): CH cost %v, SSMD cost %v", q.QueryID, gp.Source, gp.Dest, gp.Cost, wp.Cost)
+				t.Fatalf("query %d pair (%d,%d): hybrid cost %v, SSMD cost %v", q.QueryID, gp.Source, gp.Dest, gp.Cost, wp.Cost)
 			}
 		}
 	}
-	if n := chSrv.Metrics().Counter("ch_queries"); n != int64(len(queries)) {
-		t.Fatalf("ch_queries = %d, want %d", n, len(queries))
-	}
+	return hybridSrv
 }
 
 // TestStrategyHybridRouting asserts the pair-count cutover: small queries
@@ -77,7 +119,6 @@ func TestStrategyHybridRouting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyHybrid
 	cfg.CHOverlay = chTestOverlay(t, g)
-	cfg.CHMaxPairs = 4
 	srv := MustNew(g, cfg)
 	acc := storage.NewMemoryGraph(g)
 
@@ -109,15 +150,13 @@ func TestStrategyHybridRouting(t *testing.T) {
 	}
 }
 
-// TestCHStrategyConfigValidation covers the overlay requirements: missing
-// overlay without BuildCH, a mismatched overlay, and BuildCH building one.
+// TestCHStrategyConfigValidation covers the hybrid overlay requirements: a
+// mismatched overlay is refused, and BuildCH builds one. (Without either,
+// hybrid degrades to SSMD: TestHybridWithoutOverlayFallsBackToSSMD.)
 func TestCHStrategyConfigValidation(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
-	cfg.Strategy = StrategyCH
-	if _, err := New(g, cfg); err == nil {
-		t.Fatal("StrategyCH without overlay or BuildCH accepted")
-	}
+	cfg.Strategy = StrategyHybrid
 	otherCfg := gen.DefaultNetworkConfig()
 	otherCfg.Nodes = 300
 	otherCfg.Seed = 1234

@@ -201,7 +201,7 @@ func TestBatchMetricsExposeCacheHitRatio(t *testing.T) {
 }
 
 // TestBatchQueryMessageRoundTrip drives the wire-level batch path: a
-// BatchQuery through the server's protocol handler yields one reply per
+// BatchQuery through the server's mux batch streamer yields one item per
 // query with per-slot errors.
 func TestBatchQueryMessageRoundTrip(t *testing.T) {
 	g := testGraph(t)
@@ -209,28 +209,39 @@ func TestBatchQueryMessageRoundTrip(t *testing.T) {
 	queries := overlappingBatch(g, 3)
 	queries[1].Dests = nil // malformed slot
 
-	raw, err := srv.Handler()(protocol.BatchQuery{BatchID: 77, Queries: queries})
+	streamer, ok := srv.MuxHandler().(protocol.MuxBatchStreamer)
+	if !ok {
+		t.Fatalf("server mux handler %T does not stream batches", srv.MuxHandler())
+	}
+	var mu sync.Mutex
+	items := map[int]protocol.BatchItem{}
+	err := streamer.HandleMuxBatch(protocol.BatchQuery{BatchID: 77, Queries: queries}, protocol.ReqInfo{}, func(item protocol.BatchItem) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := items[item.Index]; dup {
+			t.Errorf("item %d emitted twice", item.Index)
+		}
+		items[item.Index] = item
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, ok := raw.(protocol.BatchReply)
-	if !ok {
-		t.Fatalf("handler returned %T, want protocol.BatchReply", raw)
+	if len(items) != 3 {
+		t.Fatalf("got %d items, want 3", len(items))
 	}
-	if reply.BatchID != 77 {
-		t.Errorf("BatchID = %d, want 77", reply.BatchID)
+	for i, item := range items {
+		if item.BatchID != 77 {
+			t.Errorf("item %d: BatchID = %d, want 77", i, item.BatchID)
+		}
 	}
-	if len(reply.Replies) != 3 || len(reply.Errors) != 3 {
-		t.Fatalf("got %d replies / %d errors, want 3 / 3", len(reply.Replies), len(reply.Errors))
-	}
-	if reply.Errors[1] == "" {
+	if items[1].Error == "" {
 		t.Error("malformed query 1 produced no error message")
 	}
 	for _, i := range []int{0, 2} {
-		if reply.Errors[i] != "" {
-			t.Errorf("query %d failed: %s", i, reply.Errors[i])
+		if items[i].Error != "" {
+			t.Errorf("query %d failed: %s", i, items[i].Error)
 		}
-		if len(reply.Replies[i].Paths) == 0 {
+		if len(items[i].Reply.Paths) == 0 {
 			t.Errorf("query %d returned no candidate paths", i)
 		}
 	}

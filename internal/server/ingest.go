@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"opaque/internal/search"
 	"opaque/internal/traffic"
 )
 
@@ -19,17 +18,12 @@ import (
 //
 // cfg.Topology defaults to the server's startup graph, so unknown-arc events
 // are rejected per event at the boundary instead of failing whole batches at
-// apply time. Like UpdateWeights, ingestion requires the in-memory backend
-// and refuses the heuristic pairwise strategies; a witness-pruned overlay is
-// refused too, because a sustained update stream would permanently park it
+// apply time. Like UpdateWeights, ingestion requires the in-memory backend;
+// a witness-pruned overlay is refused too, because a sustained update stream would permanently park it
 // on the SSMD fallback.
 func (s *Server) NewIngestor(cfg traffic.Config) (*traffic.Ingestor, error) {
 	if s.mutable == nil {
 		return nil, fmt.Errorf("server: streaming ingestion requires the in-memory backend (paged deployments serve a frozen page layout)")
-	}
-	switch s.cfg.Strategy {
-	case search.StrategyPairwiseALT, search.StrategyPairwiseAStar:
-		return nil, fmt.Errorf("server: streaming ingestion is unsupported under strategy %q — its heuristic bounds are admissible for the startup metric only", s.cfg.Strategy)
 	}
 	var refresher traffic.Refresher
 	if st := s.chSt.Load(); st != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"opaque/internal/ch"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
@@ -345,7 +346,8 @@ func TestChurnSoak(t *testing.T) {
 }
 
 // TestIngestorRefusedConfigurations mirrors the UpdateWeights refusals at
-// pipeline-construction time.
+// pipeline-construction time: paged deployments, and witness-pruned
+// overlays that could never absorb the stream.
 func TestIngestorRefusedConfigurations(t *testing.T) {
 	g := updateTestGraph(t, 40, 721)
 
@@ -356,11 +358,15 @@ func TestIngestorRefusedConfigurations(t *testing.T) {
 		t.Error("ingestion on a paged server must be refused")
 	}
 
-	alt := DefaultConfig()
-	alt.Strategy = search.StrategyPairwiseALT
-	alt.Landmarks = 4
-	sa := MustNew(g, alt)
-	if _, err := sa.NewIngestor(traffic.Config{}); err == nil {
-		t.Error("ingestion under pairwise-alt must be refused")
+	witness, err := ch.Build(g) // deliberately not customizable
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := DefaultConfig()
+	hybrid.Strategy = StrategyHybrid
+	hybrid.CHOverlay = witness
+	sw := MustNew(g, hybrid)
+	if _, err := sw.NewIngestor(traffic.Config{}); err == nil {
+		t.Error("ingestion over a witness-pruned overlay must be refused")
 	}
 }

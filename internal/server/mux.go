@@ -42,8 +42,9 @@ func (s *Server) HelloInfo() protocol.Hello {
 }
 
 // serverMuxHandler adapts the server to the multiplexed transport. It
-// implements both protocol.MuxHandler (unary messages) and
-// protocol.MuxBatchStreamer (batches answered one frame per query).
+// implements both protocol.MuxHandler (queries and weight updates) and
+// protocol.MuxBatchStreamer (batches answered one frame per query); the
+// transport hands every BatchQuery to the latter.
 type serverMuxHandler struct {
 	s *Server
 }
@@ -56,9 +57,6 @@ func (h serverMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error)
 			m.DistanceOnly = true
 		}
 		return h.s.Evaluate(m)
-	case protocol.BatchQuery:
-		// Unary fallback; the transport normally takes HandleMuxBatch.
-		return h.s.evaluateBatchMessage(shedBatch(m, info.Shed)), nil
 	case protocol.WeightUpdate:
 		return h.s.applyWeightUpdate(m)
 	default:

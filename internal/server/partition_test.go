@@ -9,7 +9,6 @@ import (
 	"opaque/internal/ch"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
 )
 
 // gridTestGraph builds a w×h lattice with integer costs. Its spatial
@@ -39,74 +38,76 @@ func gridTestGraph(t *testing.T, w, h int, seed int64) *roadnet.Graph {
 	return g
 }
 
-// TestPartitionedServerMatchesReference: all three overlay strategies on a
+// TestPartitionedServerMatchesReference: both hybrid overlay routes on a
 // partition-aware server serve reference-Dijkstra distances, before and
 // after weight updates absorbed by cell-local re-customization, and the
 // partition metrics report the cell work.
 func TestPartitionedServerMatchesReference(t *testing.T) {
-	for _, strat := range []search.Strategy{StrategyCH, StrategyCHMTM, StrategyHybrid} {
-		g := gridTestGraph(t, 12, 10, 601)
-		cfg := DefaultConfig()
-		cfg.Strategy = strat
-		cfg.BuildCH = true
-		cfg.PartitionCells = 6
-		s := MustNew(g, cfg)
-		if got := s.Overlay().PartitionCells(); got != 6 {
-			t.Fatalf("%s: overlay has %d cells, want 6", strat, got)
-		}
+	g := gridTestGraph(t, 12, 10, 601)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.BuildCH = true
+	cfg.PartitionCells = 6
+	s := MustNew(g, cfg)
+	if got := s.Overlay().PartitionCells(); got != 6 {
+		t.Fatalf("overlay has %d cells, want 6", got)
+	}
 
-		queries := []protocol.ServerQuery{
-			{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{119}},
-			{Sources: []roadnet.NodeID{1, 12, 40}, Dests: []roadnet.NodeID{80, 117}},
-			{Sources: []roadnet.NodeID{5, 6}, Dests: []roadnet.NodeID{7}},
+	// Pairwise (1×1, 2×1) and many-to-many (3×2) shapes.
+	queries := []protocol.ServerQuery{
+		{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{119}},
+		{Sources: []roadnet.NodeID{1, 12, 40}, Dests: []roadnet.NodeID{80, 117}},
+		{Sources: []roadnet.NodeID{5, 6}, Dests: []roadnet.NodeID{7}},
+	}
+	for _, q := range queries {
+		reply, err := s.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReplyMatchesGraph(t, s.Graph(), reply)
+	}
+	if got := s.Metrics().Gauge("partition_cells"); got != 6 {
+		t.Fatalf("partition_cells gauge = %v, want 6", got)
+	}
+
+	rng := rand.New(rand.NewSource(602))
+	for round := 0; round < 3; round++ {
+		cur := s.Graph()
+		var changes []roadnet.ArcWeightChange
+		for i := 0; i < 4; i++ {
+			v := roadnet.NodeID(rng.Intn(cur.NumNodes()))
+			arcs := cur.Arcs(v)
+			if len(arcs) == 0 {
+				continue
+			}
+			a := arcs[rng.Intn(len(arcs))]
+			changes = append(changes, roadnet.ArcWeightChange{From: v, To: a.To, NewCost: float64(1 + rng.Intn(15))})
+		}
+		if _, err := s.UpdateWeights(changes); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RecustomizeNow(); err != nil {
+			t.Fatal(err)
 		}
 		for _, q := range queries {
 			reply, err := s.Evaluate(q)
 			if err != nil {
-				t.Fatalf("%s: %v", strat, err)
+				t.Fatal(err)
 			}
 			checkReplyMatchesGraph(t, s.Graph(), reply)
 		}
-		if got := s.Metrics().Gauge("partition_cells"); got != 6 {
-			t.Fatalf("%s: partition_cells gauge = %v, want 6", strat, got)
-		}
-
-		rng := rand.New(rand.NewSource(602))
-		for round := 0; round < 3; round++ {
-			cur := s.Graph()
-			var changes []roadnet.ArcWeightChange
-			for i := 0; i < 4; i++ {
-				v := roadnet.NodeID(rng.Intn(cur.NumNodes()))
-				arcs := cur.Arcs(v)
-				if len(arcs) == 0 {
-					continue
-				}
-				a := arcs[rng.Intn(len(arcs))]
-				changes = append(changes, roadnet.ArcWeightChange{From: v, To: a.To, NewCost: float64(1 + rng.Intn(15))})
-			}
-			if _, err := s.UpdateWeights(changes); err != nil {
-				t.Fatalf("%s: %v", strat, err)
-			}
-			if err := s.RecustomizeNow(); err != nil {
-				t.Fatalf("%s: %v", strat, err)
-			}
-			for _, q := range queries {
-				reply, err := s.Evaluate(q)
-				if err != nil {
-					t.Fatalf("%s: %v", strat, err)
-				}
-				checkReplyMatchesGraph(t, s.Graph(), reply)
-			}
-		}
-		m := s.Metrics()
-		if m.Counter("recustomize_runs") < 3 {
-			t.Fatalf("%s: recustomize_runs = %d", strat, m.Counter("recustomize_runs"))
-		}
-		// A freshly built partitioned overlay is primed for incremental
-		// refreshes, so the cell-local path ran and counted its cells.
-		if m.Counter("cells_recustomized") < 1 {
-			t.Fatalf("%s: cells_recustomized = %d, want >= 1", strat, m.Counter("cells_recustomized"))
-		}
+	}
+	m := s.Metrics()
+	if m.Counter("recustomize_runs") < 3 {
+		t.Fatalf("recustomize_runs = %d", m.Counter("recustomize_runs"))
+	}
+	// A freshly built partitioned overlay is primed for incremental
+	// refreshes, so the cell-local path ran and counted its cells.
+	if m.Counter("cells_recustomized") < 1 {
+		t.Fatalf("cells_recustomized = %d, want >= 1", m.Counter("cells_recustomized"))
+	}
+	if m.Counter("ch_queries") == 0 || m.Counter("mtm_queries") == 0 {
+		t.Fatalf("hybrid routes not both exercised: ch_queries = %d, mtm_queries = %d", m.Counter("ch_queries"), m.Counter("mtm_queries"))
 	}
 }
 

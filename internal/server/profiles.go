@@ -18,13 +18,13 @@ import (
 // startup metric — "the morning peak", "night free-flow" — and a profile
 // query asks to be answered under that regime instead of the live metric.
 // The server precustomizes one complete evaluation state per profile: the
-// profile graph, an immutable accessor over it, and (when the server runs a
-// CH strategy) a customized overlay weight layer sharing the base overlay's
-// frozen topology (ch.ProfileSet) with engines and processors bound to it.
-// Profile queries route onto that state with zero customization work on the
-// query path, and — because the state is immutable — they keep full CH
-// speed even while the live overlay is mid-re-customization under a heavy
-// update stream.
+// profile graph, an immutable accessor over it, and (when a hybrid server
+// runs an overlay) a customized overlay weight layer sharing the base
+// overlay's frozen topology (ch.ProfileSet) with engines and processors
+// bound to it. Profile queries route onto that state by the same shape
+// routing as live queries, with zero customization work on the query path,
+// and — because the state is immutable — they keep full CH speed even while
+// the live overlay is mid-re-customization under a heavy update stream.
 //
 // Profiles deliberately bind to the *startup* graph, not the live snapshot:
 // they answer what a trip usually costs under a recurring regime, which the
@@ -37,12 +37,11 @@ import (
 type profileState struct {
 	graph *roadnet.Graph
 	acc   storage.Accessor
-	// flat is the always-available processor (SSMD for CH-strategy servers,
-	// the configured flat strategy otherwise); chProcessor/mtmProcessor are
-	// set when the server serves through an overlay.
-	flat         *search.Processor
-	chProcessor  *search.Processor
-	mtmProcessor *search.Processor
+	// flat is the always-available SSMD processor; overlay holds the
+	// engines and processors of the profile's precustomized layer, nil when
+	// the server serves without an overlay.
+	flat    *search.Processor
+	overlay *chState
 }
 
 // profileCache resolves profile names to their precustomized states,
@@ -67,10 +66,6 @@ func (s *Server) initProfiles() error {
 	}
 	if s.mutable == nil {
 		return fmt.Errorf("server: weight profiles require the in-memory backend (the paged simulation serves exactly one page layout)")
-	}
-	switch s.cfg.Strategy {
-	case search.StrategyPairwiseALT, search.StrategyPairwiseAStar:
-		return fmt.Errorf("server: weight profiles are unsupported under strategy %q — its heuristic bounds are admissible for the startup metric only", s.cfg.Strategy)
 	}
 	defs := make(map[string]costmodel.WeightProfile, len(s.cfg.Profiles))
 	for _, p := range s.cfg.Profiles {
@@ -133,22 +128,11 @@ func (s *Server) profileProcessor(q protocol.ServerQuery) (*search.Processor, ui
 		return nil, 0, err
 	}
 	sum := st.graph.ContentChecksum()
-	if st.chProcessor == nil {
+	if st.overlay == nil {
 		return st.flat, sum, nil
 	}
-	switch s.cfg.Strategy {
-	case StrategyCH:
-		return st.chProcessor, sum, nil
-	case StrategyCHMTM:
-		return st.mtmProcessor, sum, nil
-	case StrategyHybrid:
-		if len(q.Sources)*len(q.Dests) <= s.chMaxPairs {
-			return st.chProcessor, sum, nil
-		}
-		return st.mtmProcessor, sum, nil
-	default:
-		return st.flat, sum, nil
-	}
+	proc, _ := st.overlay.route(q)
+	return proc, sum, nil
 }
 
 // state returns the evaluation state for the named profile, counting
@@ -211,51 +195,9 @@ func (s *Server) newProfileState(pg *roadnet.Graph, layer *ch.Overlay) *profileS
 	acc := storage.NewMemoryGraph(pg)
 	st := &profileState{graph: pg, acc: acc}
 
-	flatStrategy := s.cfg.Strategy
-	switch flatStrategy {
-	case StrategyCH, StrategyCHMTM, StrategyHybrid:
-		flatStrategy = search.StrategySSMD
-	}
-	flatOpts := []search.ProcessorOption{
-		search.WithStrategy(flatStrategy),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if s.cfg.Workers > 1 {
-		flatOpts = append(flatOpts, search.WithWorkers(s.cfg.Workers))
-	}
-	if s.gate != nil {
-		flatOpts = append(flatOpts, search.WithGate(s.gate))
-	}
-	st.flat = search.NewProcessor(acc, flatOpts...)
-
+	st.flat = search.NewProcessor(acc, s.processorOptions(search.WithStrategy(search.StrategySSMD))...)
 	if layer != nil {
-		engine := ch.NewEngine(layer, s.wsPool)
-		engine.BindGeneration(storage.GenerationOf(acc))
-		mtm := ch.NewMTM(layer, s.wsPool)
-		mtm.BindGeneration(storage.GenerationOf(acc))
-
-		chOpts := []search.ProcessorOption{
-			search.WithStrategy(search.StrategyPointEngine),
-			search.WithPointEngine(engine),
-			search.WithWorkspacePool(s.wsPool),
-		}
-		if s.cfg.Workers > 1 {
-			chOpts = append(chOpts, search.WithWorkers(s.cfg.Workers))
-		}
-		if s.gate != nil {
-			chOpts = append(chOpts, search.WithGate(s.gate))
-		}
-		st.chProcessor = search.NewProcessor(acc, chOpts...)
-
-		mtmOpts := []search.ProcessorOption{
-			search.WithStrategy(search.StrategyTableEngine),
-			search.WithTableEngine(mtm),
-			search.WithWorkspacePool(s.wsPool),
-		}
-		if s.gate != nil {
-			mtmOpts = append(mtmOpts, search.WithGate(s.gate))
-		}
-		st.mtmProcessor = search.NewProcessor(acc, mtmOpts...)
+		st.overlay = s.newCHState(acc, layer, storage.GenerationOf(acc))
 	}
 	return st
 }

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,35 +38,29 @@ import (
 	"opaque/internal/traffic"
 )
 
-// Server-level evaluation strategies layered on top of the search package's.
-// StrategyCH and StrategyCHMTM require a contraction-hierarchy overlay
-// (Config.CHOverlay or Config.BuildCH); StrategyHybrid uses one when
-// available and degrades to pure SSMD sharing when not.
-const (
-	// StrategyCH evaluates every (source, dest) pair of Q(S, T) on the
-	// contraction-hierarchy overlay — the preprocessed bidirectional search
-	// of internal/ch, typically an order of magnitude faster than flat
-	// Dijkstra per pair on large maps.
-	StrategyCH = search.Strategy("ch")
-	// StrategyCHMTM evaluates every query with the many-to-many bucket
-	// algorithm on the overlay (internal/ch's MTM): |S|+|T| upward sweeps
-	// joined at bucket entries instead of |S|·|T| bidirectional searches —
-	// the fastest engine for wide candidate tables.
-	StrategyCHMTM = search.Strategy("ch-mtm")
-	// StrategyHybrid routes each query by shape: point-ish queries (up to
-	// Config.CHMaxPairs candidate pairs) go pairwise to the CH overlay,
-	// wider obfuscated queries go to the many-to-many bucket engine. When
-	// the server has no overlay at all, every query falls back to the SSMD
-	// spanning-tree sharing (and the tree cache, when enabled).
-	StrategyHybrid = search.Strategy("hybrid")
-)
+// StrategyHybrid is the server's second evaluation strategy next to the
+// paper's search.StrategySSMD. It routes each query by shape onto the
+// contraction-hierarchy overlay (Config.CHOverlay or Config.BuildCH):
+// point-ish queries (up to DefaultCHMaxPairs candidate pairs) run pairwise
+// bidirectional searches on the overlay, wider obfuscated queries go to the
+// many-to-many bucket engine (internal/ch's MTM: |S|+|T| upward sweeps joined
+// at bucket entries instead of |S|·|T| searches). When the server has no
+// overlay at all, every query falls back to the SSMD spanning-tree sharing
+// (and the tree cache, when enabled).
+const StrategyHybrid = search.Strategy("hybrid")
+
+// ErrUnknownStrategy reports a Config.Strategy the server does not serve:
+// anything but "" (SSMD), search.StrategySSMD or StrategyHybrid. The
+// pairwise, A* and ALT strategies remain search.Processor baselines for
+// experiments; servers do not serve them.
+var ErrUnknownStrategy = errors.New("server: unknown strategy")
 
 // Config parameterises a Server.
 type Config struct {
-	// Strategy selects how Q(S,T) is evaluated (default: SSMD sharing).
-	// Besides the search-package strategies, the server accepts StrategyCH,
-	// StrategyCHMTM and StrategyHybrid, which run on the
-	// contraction-hierarchy overlay.
+	// Strategy selects how Q(S,T) is evaluated: search.StrategySSMD (the
+	// default, also for "") or StrategyHybrid, which routes onto the
+	// contraction-hierarchy overlay. New rejects anything else with
+	// ErrUnknownStrategy.
 	Strategy search.Strategy
 	// Workers bounds per-query source-level parallelism (default 1).
 	Workers int
@@ -102,16 +95,9 @@ type Config struct {
 	BufferPages int
 	// KeepLog records every received query for adversary analysis.
 	KeepLog bool
-	// Landmarks enables ALT preprocessing with the given number of landmark
-	// nodes (0 disables it). Required when Strategy is
-	// search.StrategyPairwiseALT; harmless otherwise. Preprocessing runs
-	// |Landmarks| full Dijkstra trees at startup and is charged to the
-	// buffer pool when Paged is set, exactly like an offline index build.
-	Landmarks int
 	// CHOverlay installs a prebuilt contraction-hierarchy overlay (usually
 	// loaded from a cmd/opaque-preprocess file); it must Match the server's
-	// graph. Required by StrategyCH and StrategyCHMTM unless BuildCH is
-	// set; optional for StrategyHybrid, which falls back to pure SSMD
+	// graph. Used by StrategyHybrid only, which falls back to pure SSMD
 	// sharing without one.
 	CHOverlay *ch.Overlay
 	// BuildCH contracts the graph at startup when no CHOverlay is given —
@@ -135,10 +121,8 @@ type Config struct {
 	// from its precustomized layer with zero customization work on the query
 	// path; live weight updates never touch profile layers (profiles answer
 	// "what does this trip usually cost at 8am" over the reference metric,
-	// not the live one). Requires the in-memory backend and, like live
-	// updates, refuses the heuristic pairwise strategies whose bounds are
-	// only admissible for the startup metric. With a CH strategy the overlay
-	// must be customizable.
+	// not the live one). Requires the in-memory backend; with an overlay,
+	// the overlay must be customizable.
 	Profiles []costmodel.WeightProfile
 	// ProfileCapacity bounds how many profile layers stay hot behind the
 	// LRU (0 = all configured profiles). Evicted layers rebuild on demand,
@@ -148,17 +132,10 @@ type Config struct {
 	// the first query of each profile pays nothing. Off, layers build on
 	// first use.
 	PrewarmProfiles bool
-	// CHMaxPairs is the StrategyHybrid cutover, with *inclusive* pairwise
-	// semantics: queries with |S|·|T| ≤ CHMaxPairs are evaluated pairwise
-	// on the CH overlay, queries with |S|·|T| > CHMaxPairs go to the
-	// many-to-many bucket engine (or to the SSMD processor when the server
-	// has no overlay). 0 means DefaultCHMaxPairs. Ignored by other
-	// strategies.
-	CHMaxPairs int
 }
 
-// DefaultCHMaxPairs is the hybrid cutover used when Config.CHMaxPairs is 0:
-// obfuscated queries up to this many candidate pairs (inclusive) run
+// DefaultCHMaxPairs is the StrategyHybrid cutover, with *inclusive* pairwise
+// semantics: obfuscated queries up to this many candidate pairs run
 // pairwise on the CH overlay, whose bidirectional stopping rule prunes each
 // individual search; strictly wider tables go to the many-to-many bucket
 // engine, whose |S|+|T| exhaustive sweeps amortise across cells. Experiment
@@ -227,8 +204,7 @@ type Server struct {
 	layerPageBase int
 	// chSt is the current overlay state (see chState), nil when the server
 	// runs without an overlay. Replaced wholesale by re-customization.
-	chSt       atomic.Pointer[chState]
-	chMaxPairs int
+	chSt atomic.Pointer[chState]
 	// recustomizeMu serialises re-customization runs; recustomizing
 	// additionally dedupes background kicks so at most one goroutine is ever
 	// spawned at a time.
@@ -291,6 +267,11 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	if !g.Frozen() {
 		return nil, fmt.Errorf("server: graph must be frozen")
 	}
+	switch cfg.Strategy {
+	case "", search.StrategySSMD, StrategyHybrid:
+	default:
+		return nil, fmt.Errorf("%w %q (serve %q or %q)", ErrUnknownStrategy, cfg.Strategy, search.StrategySSMD, StrategyHybrid)
+	}
 	s := &Server{graph: g, cfg: cfg, metrics: metrics.NewRegistry()}
 	s.mQueries = s.metrics.CounterVar("queries_processed")
 	s.mFailed = s.metrics.CounterVar("queries_failed")
@@ -338,43 +319,21 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	}
 	s.wsPool = search.NewWorkspacePool()
 
-	// The CH strategies are server-level: queries route between the pairwise
+	// Hybrid routing is server-level: queries route between the pairwise
 	// overlay processor, the many-to-many overlay processor and the regular
-	// multi-source processor, which keeps SSMD sharing for whatever the
-	// overlay does not take (and for hybrid servers running without one).
-	useCH := cfg.Strategy == StrategyCH || cfg.Strategy == StrategyCHMTM || cfg.Strategy == StrategyHybrid
-	procStrategy := cfg.Strategy
-	if useCH {
-		procStrategy = search.StrategySSMD
+	// SSMD processor, which serves everything on an SSMD server and
+	// whatever the overlay does not take on a hybrid one.
+	if cfg.MaxConcurrentSearches > 0 {
+		s.gate = search.NewGate(cfg.MaxConcurrentSearches)
 	}
-
-	opts := []search.ProcessorOption{
-		search.WithStrategy(procStrategy),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if cfg.Workers > 1 {
-		opts = append(opts, search.WithWorkers(cfg.Workers))
-	}
+	opts := s.processorOptions(search.WithStrategy(search.StrategySSMD))
 	if cfg.TreeCache > 0 {
 		s.cache = search.NewTreeCacheWithPool(cfg.TreeCache, s.wsPool)
 		opts = append(opts, search.WithTreeCache(s.cache))
 	}
-	if cfg.MaxConcurrentSearches > 0 {
-		s.gate = search.NewGate(cfg.MaxConcurrentSearches)
-		opts = append(opts, search.WithGate(s.gate))
-	}
-	if cfg.Landmarks > 0 {
-		lm, err := search.PrepareLandmarks(s.acc, cfg.Landmarks, search.LandmarksFarthest)
-		if err != nil {
-			return nil, fmt.Errorf("server: preparing ALT landmarks: %w", err)
-		}
-		opts = append(opts, search.WithLandmarks(lm))
-	} else if cfg.Strategy == search.StrategyPairwiseALT {
-		return nil, fmt.Errorf("server: strategy %q requires Landmarks > 0", cfg.Strategy)
-	}
 	s.processor = search.NewProcessor(s.acc, opts...)
 
-	if useCH {
+	if cfg.Strategy == StrategyHybrid {
 		overlay := cfg.CHOverlay
 		if overlay == nil && cfg.BuildCH {
 			buildCfg := ch.DefaultBuildConfig()
@@ -397,22 +356,14 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 			}
 			overlay = built
 		}
-		if overlay == nil {
-			// Hybrid degrades gracefully to the SSMD processor — a replica
-			// can come up before its overlay file is provisioned. The pure
-			// overlay strategies have nothing to run on and must refuse.
-			if cfg.Strategy != StrategyHybrid {
-				return nil, fmt.Errorf("server: strategy %q requires a CHOverlay (load one built by opaque-preprocess) or BuildCH", cfg.Strategy)
-			}
-		} else {
+		// Without an overlay, hybrid degrades gracefully to the SSMD
+		// processor — a replica can come up before its overlay file is
+		// provisioned.
+		if overlay != nil {
 			if err := overlay.Matches(g); err != nil {
 				return nil, fmt.Errorf("server: installing CH overlay: %w", err)
 			}
-			s.chMaxPairs = cfg.CHMaxPairs
-			if s.chMaxPairs <= 0 {
-				s.chMaxPairs = DefaultCHMaxPairs
-			}
-			s.chSt.Store(s.newCHState(overlay, storage.GenerationOf(s.acc)))
+			s.chSt.Store(s.newCHState(s.acc, overlay, storage.GenerationOf(s.acc)))
 		}
 	}
 	if err := s.initProfiles(); err != nil {
@@ -421,39 +372,48 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newCHState derives the engines and processors for one overlay, binding
-// both engines to the accessor generation the overlay's weights are valid
-// for. Called at startup and by every re-customization swap.
-func (s *Server) newCHState(overlay *ch.Overlay, gen uint64) *chState {
+// newCHState derives the engines and processors over acc for one overlay,
+// binding both engines to the accessor generation the overlay's weights are
+// valid for. Called at startup, by every re-customization swap and for each
+// weight-profile layer.
+func (s *Server) newCHState(acc storage.Accessor, overlay *ch.Overlay, gen uint64) *chState {
 	st := &chState{overlay: overlay}
 	st.engine = ch.NewEngine(overlay, s.wsPool)
 	st.engine.BindGeneration(gen)
 	st.mtm = ch.NewMTM(overlay, s.wsPool)
 	st.mtm.BindGeneration(gen)
-
-	chOpts := []search.ProcessorOption{
-		search.WithStrategy(search.StrategyPointEngine),
-		search.WithPointEngine(st.engine),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if s.cfg.Workers > 1 {
-		chOpts = append(chOpts, search.WithWorkers(s.cfg.Workers))
-	}
-	if s.gate != nil {
-		chOpts = append(chOpts, search.WithGate(s.gate))
-	}
-	st.chProcessor = search.NewProcessor(s.acc, chOpts...)
-
-	mtmOpts := []search.ProcessorOption{
-		search.WithStrategy(search.StrategyTableEngine),
-		search.WithTableEngine(st.mtm),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if s.gate != nil {
-		mtmOpts = append(mtmOpts, search.WithGate(s.gate))
-	}
-	st.mtmProcessor = search.NewProcessor(s.acc, mtmOpts...)
+	st.chProcessor = search.NewProcessor(acc, s.processorOptions(
+		search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(st.engine))...)
+	st.mtmProcessor = search.NewProcessor(acc, s.processorOptions(
+		search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(st.mtm))...)
 	return st
+}
+
+// processorOptions returns the options every processor of this server
+// shares — its workspace pool, per-query fan-out (ignored by the table
+// engine, which evaluates a whole table in one call) and server-wide search
+// gate — followed by extra.
+func (s *Server) processorOptions(extra ...search.ProcessorOption) []search.ProcessorOption {
+	opts := []search.ProcessorOption{search.WithWorkspacePool(s.wsPool)}
+	if s.cfg.Workers > 1 {
+		opts = append(opts, search.WithWorkers(s.cfg.Workers))
+	}
+	if s.gate != nil {
+		opts = append(opts, search.WithGate(s.gate))
+	}
+	return append(opts, extra...)
+}
+
+// route is hybrid's shape routing onto one overlay state: queries up to
+// DefaultCHMaxPairs candidate pairs (inclusive) go to the pairwise
+// processor, whose bidirectional stopping rule prunes each search hardest;
+// strictly wider tables go to the many-to-many processor. pairwise reports
+// which one it picked.
+func (st *chState) route(q protocol.ServerQuery) (proc *search.Processor, pairwise bool) {
+	if len(q.Sources)*len(q.Dests) <= DefaultCHMaxPairs {
+		return st.chProcessor, true
+	}
+	return st.mtmProcessor, false
 }
 
 // MustNew is New but panics on error.
@@ -654,14 +614,10 @@ func (s *Server) evaluateLive(q protocol.ServerQuery) (search.MSMDResult, replyI
 }
 
 // chooseProcessor routes one query between the regular processor and the two
-// overlay processors. StrategyCH sends everything pairwise to the overlay
-// and StrategyCHMTM everything to the many-to-many bucket engine.
-// StrategyHybrid routes by shape: queries small enough
-// (|S|·|T| ≤ CHMaxPairs, inclusive) that per-pair bidirectional searches
-// prune hardest go pairwise, strictly wider tables go to the many-to-many
-// engine, and — when the server has no overlay at all — everything keeps
-// SSMD's per-source sharing. The ch_queries / mtm_queries / fallback_queries
-// counters record the routing decisions.
+// overlay processors. A hybrid server with an overlay routes by shape
+// (chState.route); an SSMD server, or a hybrid one without an overlay, keeps
+// SSMD's per-source sharing for everything. The ch_queries / mtm_queries /
+// fallback_queries counters record the routing decisions.
 //
 // Before routing onto the overlay, its content checksum and the engines'
 // bound generation are compared against the current graph's (O(1): all
@@ -689,21 +645,13 @@ func (s *Server) chooseProcessor(q protocol.ServerQuery) (*search.Processor, *me
 		return s.processor, s.mFallback
 	}
 	s.chargeOverlayLayers(st, q)
-	switch s.cfg.Strategy {
-	case StrategyCH:
-		s.mCHQueries.Add(1)
-		return st.chProcessor, s.mCHQueries
-	case StrategyCHMTM:
-		s.mMTMQueries.Add(1)
-		return st.mtmProcessor, s.mMTMQueries
-	default: // StrategyHybrid
-		if len(q.Sources)*len(q.Dests) <= s.chMaxPairs {
-			s.mCHQueries.Add(1)
-			return st.chProcessor, s.mCHQueries
-		}
-		s.mMTMQueries.Add(1)
-		return st.mtmProcessor, s.mMTMQueries
+	proc, pairwise := st.route(q)
+	routed := s.mMTMQueries
+	if pairwise {
+		routed = s.mCHQueries
 	}
+	routed.Add(1)
+	return proc, routed
 }
 
 // chargeOverlayLayers charges the buffer pool for the overlay weight layers
@@ -883,23 +831,6 @@ func (s *Server) Metrics() *metrics.Registry {
 	return s.metrics
 }
 
-// Handler returns a protocol.Handler that answers ServerQuery, BatchQuery and
-// WeightUpdate messages; anything else is rejected.
-func (s *Server) Handler() protocol.Handler {
-	return func(msg any) (any, error) {
-		switch m := msg.(type) {
-		case protocol.ServerQuery:
-			return s.Evaluate(m)
-		case protocol.BatchQuery:
-			return s.evaluateBatchMessage(m), nil
-		case protocol.WeightUpdate:
-			return s.applyWeightUpdate(m)
-		default:
-			return nil, fmt.Errorf("server: unexpected message type %T", msg)
-		}
-	}
-}
-
 // applyWeightUpdate answers a wire WeightUpdate: apply the changes, kick the
 // background re-customization, and acknowledge with the server's post-apply
 // metric identity.
@@ -909,9 +840,4 @@ func (s *Server) applyWeightUpdate(m protocol.WeightUpdate) (protocol.WeightUpda
 	}
 	gen, sum := s.liveIdentity()
 	return protocol.WeightUpdateAck{UpdateID: m.UpdateID, Generation: gen, ContentSum: sum}, nil
-}
-
-// Serve accepts obfuscator connections on ln until the listener closes.
-func (s *Server) Serve(ln net.Listener) error {
-	return protocol.ServeListener(ln, s.Handler())
 }

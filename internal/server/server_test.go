@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -151,32 +153,52 @@ func TestPagedServerCountsFaults(t *testing.T) {
 	}
 }
 
+// TestStrategiesProduceSameCosts checks the server's SSMD answers against
+// the processor-only pairwise Dijkstra and A* baselines on one obfuscated
+// query.
 func TestStrategiesProduceSameCosts(t *testing.T) {
 	g := testGraph(t)
-	q := protocol.ServerQuery{Sources: []roadnet.NodeID{3, 9}, Dests: []roadnet.NodeID{100, 300}}
-	cfgA := DefaultConfig()
-	cfgA.Strategy = search.StrategySSMD
-	cfgB := DefaultConfig()
-	cfgB.Strategy = search.StrategyPairwise
-	a, err := MustNew(g, cfgA).Evaluate(q)
+	q := protocol.ServerQuery{Sources: []roadnet.NodeID{3, 9, 2, 40}, Dests: []roadnet.NodeID{100, 300, 500}}
+	acc := storage.NewMemoryGraph(g)
+	for _, strat := range []search.Strategy{search.StrategyPairwise, search.StrategyPairwiseAStar} {
+		assertProcessorMatchesServer(t, g, q, search.NewProcessor(acc, search.WithStrategy(strat)), string(strat))
+	}
+}
+
+// TestServerWithALTLandmarks: ALT runs beside the server as a processor
+// baseline, not inside it. Landmarks prepared over the server's graph must
+// reproduce the SSMD server's costs.
+func TestServerWithALTLandmarks(t *testing.T) {
+	g := testGraph(t)
+	acc := storage.NewMemoryGraph(g)
+	lm, err := search.PrepareLandmarks(acc, 4, search.LandmarksFarthest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MustNew(g, cfgB).Evaluate(q)
+	q := protocol.ServerQuery{Sources: []roadnet.NodeID{2, 40}, Dests: []roadnet.NodeID{300, 500}}
+	alt := search.NewProcessor(acc, search.WithStrategy(search.StrategyPairwiseALT), search.WithLandmarks(lm))
+	assertProcessorMatchesServer(t, g, q, alt, "ALT")
+}
+
+// assertProcessorMatchesServer fails t unless proc answers every candidate
+// pair of q at the cost an SSMD server over g gives it.
+func assertProcessorMatchesServer(t *testing.T, g *roadnet.Graph, q protocol.ServerQuery, proc *search.Processor, name string) {
+	t.Helper()
+	a, err := MustNew(g, DefaultConfig()).Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := func(r protocol.ServerReply) map[[2]roadnet.NodeID]float64 {
-		m := map[[2]roadnet.NodeID]float64{}
-		for _, c := range r.Paths {
-			m[[2]roadnet.NodeID{c.Source, c.Dest}] = c.Cost
-		}
-		return m
+	res, err := proc.Evaluate(q.Sources, q.Dests)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	ca, cb := costs(a), costs(b)
-	for k, v := range ca {
-		if math.Abs(cb[k]-v) > 1e-6 {
-			t.Errorf("pair %v: ssmd cost %v, pairwise cost %v", k, v, cb[k])
+	if len(a.Paths) != len(q.Sources)*len(q.Dests) {
+		t.Fatalf("server answered %d pairs, want %d", len(a.Paths), len(q.Sources)*len(q.Dests))
+	}
+	for _, c := range a.Paths {
+		i, j := slices.Index(res.Sources, c.Source), slices.Index(res.Dests, c.Dest)
+		if got := res.Paths[i][j].Cost; math.Abs(got-c.Cost) > 1e-6 {
+			t.Errorf("pair (%d,%d): ssmd cost %v, %s cost %v", c.Source, c.Dest, c.Cost, name, got)
 		}
 	}
 }
@@ -216,15 +238,15 @@ func TestServeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(ln) }()
+	go func() { _ = srv.ServeMux(ln, protocol.MuxServerConfig{}) }()
 	defer ln.Close()
 
-	conn, err := protocol.Dial(ln.Addr().String())
+	conn, err := protocol.DialMux(ln.Addr().String(), protocol.Hello{Role: "obfuscator"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	reply, err := conn.Call(protocol.ServerQuery{QueryID: 3, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}})
+	reply, err := conn.Do(protocol.ServerQuery{QueryID: 3, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +255,42 @@ func TestServeOverTCP(t *testing.T) {
 		t.Errorf("TCP reply = %+v", reply)
 	}
 	// A malformed message type gets an error reply, not a dropped connection.
-	badReply, err := conn.Call(protocol.ClientRequest{RequestID: 1, User: "x", Source: 0, Dest: 1})
-	if err != nil {
-		t.Fatal(err)
+	var re *protocol.RemoteError
+	if _, err := conn.Do(protocol.ClientRequest{RequestID: 1, User: "x", Source: 0, Dest: 1}); !errors.As(err, &re) {
+		t.Errorf("expected a remote error reply for wrong message type, got %v", err)
 	}
-	if _, ok := badReply.(protocol.ErrorReply); !ok {
-		t.Errorf("expected ErrorReply for wrong message type, got %T", badReply)
+	if _, err := conn.Do(protocol.ServerQuery{QueryID: 4, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}}); err != nil {
+		t.Errorf("connection unusable after an error reply: %v", err)
+	}
+}
+
+// TestNewRejectsUnknownStrategy: servers serve SSMD and hybrid only; every
+// other strategy — the processor-only baselines included — fails New with
+// ErrUnknownStrategy instead of failing each query later.
+func TestNewRejectsUnknownStrategy(t *testing.T) {
+	g := testGraph(t)
+	for _, tc := range []struct {
+		strategy search.Strategy
+		ok       bool
+	}{
+		{"", true},
+		{search.StrategySSMD, true},
+		{StrategyHybrid, true},
+		{"bogus", false},
+		{"ch", false},
+		{"ch-mtm", false},
+		{search.StrategyPairwise, false},
+		{search.StrategyPairwiseAStar, false},
+		{search.StrategyPairwiseALT, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Strategy = tc.strategy
+		_, err := New(g, cfg)
+		if tc.ok && err != nil {
+			t.Errorf("strategy %q: %v", tc.strategy, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrUnknownStrategy) {
+			t.Errorf("strategy %q: err = %v, want ErrUnknownStrategy", tc.strategy, err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"opaque/internal/ch"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
 	"opaque/internal/storage"
 )
 
@@ -38,10 +37,7 @@ import (
 // overlay in. Use RecustomizeNow to wait for that swap deterministically.
 //
 // Updates require the in-memory backend: paged deployments serve a frozen
-// page layout and reject updates. The heuristic pairwise strategies refuse
-// them too: pairwise-alt's landmark bounds and pairwise-astar's scaled
-// Euclidean heuristic are admissible for the startup metric only — a
-// lowered weight would silently turn both into non-shortest-path searches.
+// page layout and reject updates.
 func (s *Server) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	gen, err := s.applyWeights(changes)
 	if err != nil {
@@ -65,12 +61,6 @@ func (s *Server) ApplyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	if s.mutable == nil {
 		return 0, fmt.Errorf("server: live weight updates require the in-memory backend (paged deployments serve a frozen page layout)")
-	}
-	switch s.cfg.Strategy {
-	case search.StrategyPairwiseALT:
-		return 0, fmt.Errorf("server: live weight updates are unsupported under strategy %q — ALT landmark bounds are computed for the startup metric and would become inadmissible", s.cfg.Strategy)
-	case search.StrategyPairwiseAStar:
-		return 0, fmt.Errorf("server: live weight updates are unsupported under strategy %q — the scaled Euclidean heuristic is admissible for the startup metric only", s.cfg.Strategy)
 	}
 	gen, err := s.mutable.UpdateWeights(changes)
 	if err != nil {
@@ -209,7 +199,7 @@ func (s *Server) RecustomizeNow() error {
 			s.mRecustFail.Add(1)
 			return fmt.Errorf("server: re-customizing overlay: %w", err)
 		}
-		s.chSt.Store(s.newCHState(fresh, storage.GenerationOf(snap)))
+		s.chSt.Store(s.newCHState(s.acc, fresh, storage.GenerationOf(snap)))
 		s.mRecustomize.Add(1)
 		s.mCellsRecust.Add(int64(len(stats.Recustomized)))
 		s.metrics.SetGauge("recustomize_last_ms", float64(time.Since(start).Microseconds())/1000)
