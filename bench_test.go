@@ -190,8 +190,43 @@ func BenchmarkObfuscatedQueryEvaluation(b *testing.B) {
 }
 
 // BenchmarkObfuscation measures the obfuscator-side cost of turning a batch
-// of 32 requests into obfuscated queries, for both variants.
+// of 32 requests into obfuscated queries, for both variants. The
+// independent-8x8 sub-benchmark times one request in the shape of
+// servebench's hybrid-wide workload (20k-node Tiger-like map of seed 2009,
+// independent mode, fS = fT = 8, ring band 2000–15000): the work the
+// obfuscator service runs under its serialising mutex per request.
 func BenchmarkObfuscation(b *testing.B) {
+	b.Run("independent-8x8", func(b *testing.B) {
+		cfg := DefaultNetworkConfig()
+		cfg.Kind = gen.TigerLike
+		cfg.Nodes = 20000
+		cfg.Seed = 2009
+		g, err := GenerateNetwork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trips, err := GenerateWorkload(g, WorkloadConfig{Kind: "uniform", Queries: 256, Seed: 2011})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs := make([][]obfuscate.Request, len(trips))
+		for i, pr := range trips {
+			reqs[i] = []obfuscate.Request{{User: obfuscate.UserID(fmt.Sprintf("u%d", i)), Source: pr.Source, Dest: pr.Dest, FS: 8, FT: 8}}
+		}
+		obf := obfuscate.MustNew(g, obfuscate.Config{
+			Mode:     obfuscate.Independent,
+			Selector: obfuscate.MustNewRingBandSelector(2000, 15000, 11),
+			Seed:     11,
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := obf.Obfuscate(reqs[i%len(reqs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	g, wl := benchGraph(b, 10000)
 	minX, minY, maxX, maxY := g.Bounds()
 	extent := math.Max(maxX-minX, maxY-minY)

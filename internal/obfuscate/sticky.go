@@ -57,11 +57,12 @@ func (s *StickySelector) Name() string { return "sticky-" + s.inner.Name() }
 // tops them up and the cache is updated.
 func (s *StickySelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
 	s.mu.Lock()
-	cached := s.memo[truth]
+	cached, known := s.memo[truth]
 	s.mu.Unlock()
 
+	// The memo holds a sorted, duplicate-free set, so reused fakes need no
+	// duplicate check.
 	out := make([]roadnet.NodeID, 0, count)
-	used := make(map[roadnet.NodeID]struct{}, count)
 	for _, id := range cached {
 		if len(out) >= count {
 			break
@@ -72,30 +73,31 @@ func (s *StickySelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, cou
 		if _, skip := exclude[id]; skip {
 			continue
 		}
-		if _, dup := used[id]; dup {
-			continue
-		}
 		out = append(out, id)
-		used[id] = struct{}{}
 	}
+	var fresh []roadnet.NodeID
 	if len(out) < count {
 		// Ask the inner selector for the remainder, excluding what we have.
-		innerExclude := make(map[roadnet.NodeID]struct{}, len(exclude)+len(used))
+		innerExclude := make(map[roadnet.NodeID]struct{}, len(exclude)+len(out))
 		for id := range exclude {
 			innerExclude[id] = struct{}{}
 		}
-		for id := range used {
+		for _, id := range out {
 			innerExclude[id] = struct{}{}
 		}
-		fresh := s.inner.SelectFakes(g, truth, count-len(out), innerExclude)
+		fresh = s.inner.SelectFakes(g, truth, count-len(out), innerExclude)
 		out = append(out, fresh...)
+	}
+	if known && len(fresh) == 0 {
+		// Everything came from the memo, which therefore already holds it.
+		return out
 	}
 
 	// Update the memo with the union of cached and newly drawn fakes so that
 	// future, larger requests still start from the same pool.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	merged := mergeNodeSets(cached, out)
+	merged := mergeNodeSets(cached, fresh)
 	if _, exists := s.memo[truth]; !exists && len(s.memo) >= s.maxEntries {
 		s.evictLocked()
 	}

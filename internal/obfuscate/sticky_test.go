@@ -114,6 +114,42 @@ func TestStickySelectorEvictionAndReset(t *testing.T) {
 	}
 }
 
+// countingSelector counts the calls it forwards to the wrapped selector.
+type countingSelector struct {
+	EndpointSelector
+	calls int
+}
+
+func (c *countingSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
+	c.calls++
+	return c.EndpointSelector.SelectFakes(g, truth, count, exclude)
+}
+
+// TestStickySelectorHitIsCheap: a request served entirely from the memo
+// neither calls the inner selector nor rebuilds the memo entry, so it
+// allocates only the returned slice, and the memo keeps the same set.
+func TestStickySelectorHitIsCheap(t *testing.T) {
+	g := testGraph(t)
+	inner := &countingSelector{EndpointSelector: testSelector(g, 311)}
+	sticky := NewStickySelector(inner, 0)
+	truth := roadnet.NodeID(321)
+	first := sticky.SelectFakes(g, truth, 6, nil)
+	exclude := map[roadnet.NodeID]struct{}{first[0]: {}}
+	if allocs := testing.AllocsPerRun(20, func() { sticky.SelectFakes(g, truth, 5, exclude) }); allocs > 1 {
+		t.Errorf("memo hit allocates %.1f times, want 1 (the result)", allocs)
+	}
+	if inner.calls != 1 {
+		t.Errorf("inner selector called %d times, want 1 (the first draw only)", inner.calls)
+	}
+	again := sticky.SelectFakes(g, truth, 6, nil)
+	want := mergeNodeSets(first, nil)
+	for i := range want {
+		if again[i] != want[i] {
+			t.Fatalf("memo changed across hits: first drew %v, now serves %v", first, again)
+		}
+	}
+}
+
 func TestMergeNodeSets(t *testing.T) {
 	got := mergeNodeSets([]roadnet.NodeID{3, 1}, []roadnet.NodeID{2, 3})
 	want := []roadnet.NodeID{1, 2, 3}

@@ -106,12 +106,19 @@ func (u *UniformSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, co
 // the truth) and at most MaxRadius away (so the obfuscated query's search
 // radius — and hence the Lemma 1 cost — stays bounded). This is the
 // cost-aware strategy OPAQUE's design motivates.
+//
+// Fakes are sampled uniformly without replacement from the eligible band
+// nodes (every band node except the truth and the excluded ones). The band
+// is collected unsorted into a buffer the selector reuses across calls, so
+// a RingBandSelector, like its seeded random source, belongs to one
+// goroutine at a time; the obfuscator service serialises its use.
 type RingBandSelector struct {
 	// MinRadius and MaxRadius bound the Euclidean distance between the true
 	// endpoint and its fakes, in the network's coordinate units.
 	MinRadius float64
 	MaxRadius float64
 	rng       *rngLike
+	band      []roadnet.NodeID // candidate buffer reused across calls
 }
 
 // NewRingBandSelector builds a ring-band selector. MaxRadius must exceed
@@ -138,24 +145,26 @@ func (s *RingBandSelector) Name() string { return "ringband" }
 // SelectFakes implements EndpointSelector.
 func (s *RingBandSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
 	t := g.Node(truth)
-	candidates := g.NodesInBand(t.X, t.Y, s.MinRadius, s.MaxRadius)
+	s.band = g.AppendNodesInBand(s.band[:0], t.X, t.Y, s.MinRadius, s.MaxRadius)
 	// Widen the band progressively if the annulus is too sparse.
 	widen := s.MaxRadius
-	for len(candidates) < count+len(exclude)+1 && widen < 64*s.MaxRadius {
+	for len(s.band) < count+len(exclude)+1 && widen < 64*s.MaxRadius {
 		widen *= 2
-		candidates = g.NodesInBand(t.X, t.Y, s.MinRadius, widen)
+		s.band = g.AppendNodesInBand(s.band[:0], t.X, t.Y, s.MinRadius, widen)
 	}
-	return sampleExcluding(candidates, truth, count, exclude, s.rng)
+	return drawExcluding(s.band, truth, count, exclude, s.rng)
 }
 
 // DensityAwareSelector picks fake endpoints with probability proportional to
 // their association weight (node popularity) within a radius around the true
 // endpoint. Popular nodes are plausible destinations — an adversary who
 // discounts implausible endpoints gains less, at a modest cost increase
-// relative to the plain ring band (experiment E8).
+// relative to the plain ring band (experiment E8). Like RingBandSelector it
+// reuses one candidate buffer and belongs to one goroutine at a time.
 type DensityAwareSelector struct {
 	Radius float64
 	rng    *rngLike
+	disc   []roadnet.NodeID // candidate buffer reused across calls
 }
 
 // NewDensityAwareSelector builds a density-aware selector restricted to the
@@ -183,10 +192,10 @@ func (s *DensityAwareSelector) Name() string { return "density" }
 func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
 	t := g.Node(truth)
 	radius := s.Radius
-	candidates := g.NodesWithin(t.X, t.Y, radius)
-	for len(candidates) < count+len(exclude)+1 && radius < 64*s.Radius {
+	s.disc = g.AppendNodesInBand(s.disc[:0], t.X, t.Y, 0, radius)
+	for len(s.disc) < count+len(exclude)+1 && radius < 64*s.Radius {
 		radius *= 2
-		candidates = g.NodesWithin(t.X, t.Y, radius)
+		s.disc = g.AppendNodesInBand(s.disc[:0], t.X, t.Y, 0, radius)
 	}
 	// Weighted sampling without replacement by exponential sort keys
 	// (Efraimidis–Spirakis): key = u^(1/w); take the largest keys.
@@ -195,7 +204,7 @@ func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeI
 		key float64
 	}
 	var pool []keyed
-	for _, id := range candidates {
+	for _, id := range s.disc {
 		if id == truth {
 			continue
 		}
@@ -228,26 +237,27 @@ func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeI
 	return out
 }
 
-// sampleExcluding uniformly samples up to count node IDs from candidates,
-// skipping the truth and excluded nodes.
-func sampleExcluding(candidates []roadnet.NodeID, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}, rng *rngLike) []roadnet.NodeID {
-	pool := make([]roadnet.NodeID, 0, len(candidates))
-	for _, id := range candidates {
+// drawExcluding draws up to count distinct node IDs uniformly at random from
+// candidates, skipping the truth and excluded nodes, and returns them in a
+// new slice. It runs a partial Fisher–Yates shuffle over candidates in place
+// and tests eligibility only on the nodes it draws: the eligible nodes come
+// out of a uniform shuffle in uniform random order, so the first count of
+// them are a uniform sample without replacement, and the cost is
+// proportional to the draws rather than to len(candidates). When fewer than
+// count nodes are eligible it returns all of them.
+func drawExcluding(candidates []roadnet.NodeID, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}, rng *rngLike) []roadnet.NodeID {
+	out := make([]roadnet.NodeID, 0, min(count, len(candidates)))
+	for i := 0; i < len(candidates) && len(out) < count; i++ {
+		j := i + rng.intn(len(candidates)-i)
+		candidates[i], candidates[j] = candidates[j], candidates[i]
+		id := candidates[i]
 		if id == truth {
 			continue
 		}
 		if _, skip := exclude[id]; skip {
 			continue
 		}
-		pool = append(pool, id)
+		out = append(out, id)
 	}
-	if count >= len(pool) {
-		return pool
-	}
-	// Partial Fisher–Yates.
-	for i := 0; i < count; i++ {
-		j := i + rng.intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	return pool[:count]
+	return out
 }

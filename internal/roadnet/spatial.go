@@ -140,50 +140,19 @@ func (g *Graph) linearNearest(x, y float64) NodeID {
 }
 
 // NodesWithin returns the IDs of all nodes whose Euclidean distance from
-// (x, y) is at most radius, sorted by increasing distance. The graph must be
-// frozen for efficient lookup; on mutable graphs it scans linearly.
+// (x, y) is at most radius, sorted by increasing distance (ties by ID). The
+// graph must be frozen for efficient lookup; on mutable graphs it scans
+// linearly.
 func (g *Graph) NodesWithin(x, y, radius float64) []NodeID {
+	ids := g.AppendNodesInBand(nil, x, y, 0, radius)
 	type cand struct {
 		id NodeID
 		d  float64
 	}
-	var out []cand
-	collect := func(id NodeID) {
+	out := make([]cand, len(ids))
+	for i, id := range ids {
 		n := g.nodes[id]
-		d := math.Hypot(n.X-x, n.Y-y)
-		if d <= radius {
-			out = append(out, cand{id, d})
-		}
-	}
-	if !g.frozen {
-		for _, n := range g.nodes {
-			collect(n.ID)
-		}
-	} else {
-		idx := g.grid
-		x0 := int((x - radius - idx.minX) / idx.cellW)
-		x1 := int((x + radius - idx.minX) / idx.cellW)
-		y0 := int((y - radius - idx.minY) / idx.cellH)
-		y1 := int((y + radius - idx.minY) / idx.cellH)
-		if x0 < 0 {
-			x0 = 0
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if x1 >= idx.cols {
-			x1 = idx.cols - 1
-		}
-		if y1 >= idx.rows {
-			y1 = idx.rows - 1
-		}
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				for _, id := range idx.cells[cy*idx.cols+cx] {
-					collect(id)
-				}
-			}
-		}
+		out[i] = cand{id, (n.X-x)*(n.X-x) + (n.Y-y)*(n.Y-y)}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].d != out[j].d {
@@ -191,26 +160,69 @@ func (g *Graph) NodesWithin(x, y, radius float64) []NodeID {
 		}
 		return out[i].id < out[j].id
 	})
-	ids := make([]NodeID, len(out))
 	for i, c := range out {
 		ids[i] = c.id
 	}
 	return ids
 }
 
-// NodesInBand returns the IDs of all nodes whose Euclidean distance from
-// (x, y) lies in [inner, outer], sorted by increasing distance. It is the
-// primitive used by the ring-band fake-endpoint selection strategy.
-func (g *Graph) NodesInBand(x, y, inner, outer float64) []NodeID {
-	within := g.NodesWithin(x, y, outer)
-	out := within[:0]
-	for _, id := range within {
-		n := g.nodes[id]
-		if math.Hypot(n.X-x, n.Y-y) >= inner {
-			out = append(out, id)
+// AppendNodesInBand appends to dst the IDs of all nodes whose Euclidean
+// distance from (x, y) lies in [inner, outer] and returns the extended slice.
+// The IDs come in grid-cell order, not sorted by distance: callers that
+// sample from the band uniformly need no order, and skipping the sort keeps
+// the cost linear in the number of nodes the covering cells hold. Passing a
+// reused dst[:0] makes a call allocation-free once dst has grown to the
+// band's size. It is the primitive behind the ring-band fake-endpoint
+// selection strategy. On mutable graphs it scans every node.
+func (g *Graph) AppendNodesInBand(dst []NodeID, x, y, inner, outer float64) []NodeID {
+	if outer < 0 {
+		return dst
+	}
+	in2, out2 := inner*inner, outer*outer
+	if inner <= 0 {
+		in2 = 0
+	}
+	inBand := func(n *Node) bool {
+		dx, dy := n.X-x, n.Y-y
+		d2 := dx*dx + dy*dy
+		return d2 <= out2 && d2 >= in2
+	}
+	if !g.frozen {
+		for i := range g.nodes {
+			if inBand(&g.nodes[i]) {
+				dst = append(dst, g.nodes[i].ID)
+			}
+		}
+		return dst
+	}
+	idx := g.grid
+	x0 := int((x - outer - idx.minX) / idx.cellW)
+	x1 := int((x + outer - idx.minX) / idx.cellW)
+	y0 := int((y - outer - idx.minY) / idx.cellH)
+	y1 := int((y + outer - idx.minY) / idx.cellH)
+	if x0 < 0 {
+		x0 = 0
+	}
+	if y0 < 0 {
+		y0 = 0
+	}
+	if x1 >= idx.cols {
+		x1 = idx.cols - 1
+	}
+	if y1 >= idx.rows {
+		y1 = idx.rows - 1
+	}
+	for cy := y0; cy <= y1; cy++ {
+		row := idx.cells[cy*idx.cols:]
+		for cx := x0; cx <= x1; cx++ {
+			for _, id := range row[cx] {
+				if inBand(&g.nodes[id]) {
+					dst = append(dst, id)
+				}
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 func abs(v int) int {

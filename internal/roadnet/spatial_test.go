@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -117,26 +118,75 @@ func TestNodesWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// bandGraph scatters n nodes over [0,100)² and adds nodes exactly on, just
+// inside and just outside the circles of radius 10 and 30 around (50, 50);
+// the on-circle nodes sit at Pythagorean offsets so their distance is exact.
+func bandGraph(n int, frozen bool) *Graph {
+	g := NewGraph(n+12, 0)
+	state := uint64(12345)
+	next := func() float64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return float64(state>>11) / (1 << 53) * 100
+	}
+	for i := 0; i < n; i++ {
+		g.AddNode(next(), next())
+	}
+	for _, p := range [][2]float64{
+		{60, 50}, {56, 58}, {50, 40}, // radius 10
+		{80, 50}, {68, 74}, {32, 26}, // radius 30
+		{59.999, 50}, {50, 40.001}, // just inside the inner circle
+		{80.001, 50}, {50, 19.999}, // just outside the outer circle
+		{50, 50}, {50.5, 50}, // centre
+	} {
+		g.AddNode(p[0], p[1])
+	}
+	if frozen {
+		g.Freeze()
+	}
+	return g
+}
+
+// TestNodesInBand checks AppendNodesInBand against a brute-force scan on
+// frozen (grid) and mutable (linear scan) graphs: the same set, no
+// duplicates, both radii inclusive, and dst's prefix kept.
 func TestNodesInBand(t *testing.T) {
-	g := scatterGraph(300)
-	inner, outer := 10.0, 30.0
-	got := g.NodesInBand(50, 50, inner, outer)
-	for _, id := range got {
-		d := math.Hypot(g.Node(id).X-50, g.Node(id).Y-50)
-		if d < inner-1e-9 || d > outer+1e-9 {
-			t.Errorf("node %d at distance %v outside band [%v,%v]", id, d, inner, outer)
+	for _, frozen := range []bool{true, false} {
+		g := bandGraph(300, frozen)
+		for _, band := range [][2]float64{{10, 30}, {0, 30}, {0, 10}, {30, 200}, {0, 0}, {40, 30}} {
+			inner, outer := band[0], band[1]
+			prefix := []NodeID{-7}
+			got := g.AppendNodesInBand(prefix, 50, 50, inner, outer)
+			if got[0] != -7 {
+				t.Fatalf("frozen=%v band %v: dst prefix overwritten", frozen, band)
+			}
+			got = append([]NodeID(nil), got[1:]...)
+			var want []NodeID
+			for _, n := range g.Nodes() {
+				if d := math.Hypot(n.X-50, n.Y-50); d >= inner && d <= outer {
+					want = append(want, n.ID)
+				}
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			if len(got) != len(want) {
+				t.Fatalf("frozen=%v band %v: %d nodes, brute force found %d", frozen, band, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("frozen=%v band %v: got %v, brute force %v", frozen, band, got, want)
+				}
+			}
 		}
-	}
-	// Every node in the band must be reported.
-	count := 0
-	for _, n := range g.Nodes() {
-		d := math.Hypot(n.X-50, n.Y-50)
-		if d >= inner && d <= outer {
-			count++
+		// The on-circle nodes belong to both bands they bound.
+		onCircle := map[NodeID]bool{}
+		for _, id := range g.AppendNodesInBand(nil, 50, 50, 10, 30) {
+			onCircle[id] = true
 		}
-	}
-	if len(got) != count {
-		t.Errorf("NodesInBand returned %d nodes, brute force found %d", len(got), count)
+		for id := NodeID(300); id < 306; id++ {
+			if !onCircle[id] {
+				n := g.Node(id)
+				t.Errorf("frozen=%v: node at (%v, %v) on a band circle was left out", frozen, n.X, n.Y)
+			}
+		}
 	}
 }
 
