@@ -481,6 +481,46 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 	return chBench.graph, chBench.wl, chBench.overlay
 }
 
+// cchBench caches the overlay a hybrid server serves on servebench's
+// hybrid-wide fixture — ch.BuildCustomizable of the 20k-node Tiger-like map
+// of seed 2009 — with a uniform workload, built once like chBench.
+var cchBench struct {
+	once    sync.Once
+	err     error
+	wl      []QueryPair
+	overlay *ch.Overlay
+}
+
+func cchBenchSetup(b *testing.B) ([]QueryPair, *ch.Overlay) {
+	b.Helper()
+	cchBench.once.Do(func() {
+		cfg := DefaultNetworkConfig()
+		cfg.Kind = gen.TigerLike
+		cfg.Nodes = 20000
+		cfg.Seed = 2009
+		g, err := GenerateNetwork(cfg)
+		if err != nil {
+			cchBench.err = err
+			return
+		}
+		wl, err := GenerateWorkload(g, WorkloadConfig{Kind: "uniform", Queries: 128, Seed: 2011})
+		if err != nil {
+			cchBench.err = err
+			return
+		}
+		overlay, err := ch.BuildCustomizable(g)
+		if err != nil {
+			cchBench.err = err
+			return
+		}
+		cchBench.wl, cchBench.overlay = wl, overlay
+	})
+	if cchBench.err != nil {
+		b.Fatal(cchBench.err)
+	}
+	return cchBench.wl, cchBench.overlay
+}
+
 // BenchmarkCHQuery is the headline contraction-hierarchy measurement: point
 // queries on the 50k-node benchmark graph with uniform (map-scale) pairs,
 // the regime the overlay is built for.
@@ -490,16 +530,19 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 //     ball covers a large share of the map on long trips);
 //   - ch-distance runs the bidirectional upward search on the overlay,
 //     also at 0 allocs/op in steady state;
-//   - ch-path additionally unpacks every shortcut into the full node path.
+//   - ch-path additionally unpacks every shortcut into the full node path;
+//   - customizable/ch-distance and customizable/ch-path run the same two
+//     queries on the overlay a hybrid server serves for servebench's
+//     hybrid-wide workload (BuildCustomizable of the 20k-node Tiger-like map
+//     of seed 2009), which answers by elimination-tree walks.
 //
 // Expectation (the PR's acceptance bar): ch-distance exceeds
 // dijkstra-distance throughput by well over 5x at this graph size, with
 // settled nodes per query dropping from thousands to hundreds.
 func BenchmarkCHQuery(b *testing.B) {
-	g, wl, overlay := chBenchSetup(b)
-	acc := storage.NewMemoryGraph(g)
-
 	b.Run("dijkstra-distance", func(b *testing.B) {
+		g, wl, _ := chBenchSetup(b)
+		acc := storage.NewMemoryGraph(g)
 		w := search.AcquireWorkspace(acc.NumNodes())
 		defer w.Release()
 		b.ReportAllocs()
@@ -512,30 +555,50 @@ func BenchmarkCHQuery(b *testing.B) {
 		}
 	})
 	b.Run("ch-distance", func(b *testing.B) {
-		eng := ch.NewEngine(overlay, nil)
-		if _, _, err := eng.Distance(wl[0].Source, wl[0].Dest); err != nil {
-			b.Fatal(err) // warm the engine's workspace pool
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := wl[i%len(wl)]
-			if _, _, err := eng.Distance(pr.Source, pr.Dest); err != nil {
-				b.Fatal(err)
-			}
-		}
+		_, wl, overlay := chBenchSetup(b)
+		benchCHDistance(b, overlay, wl)
 	})
 	b.Run("ch-path", func(b *testing.B) {
-		eng := ch.NewEngine(overlay, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := wl[i%len(wl)]
-			if _, _, err := eng.Path(pr.Source, pr.Dest); err != nil {
-				b.Fatal(err)
-			}
-		}
+		_, wl, overlay := chBenchSetup(b)
+		benchCHPath(b, overlay, wl)
 	})
+	b.Run("customizable", func(b *testing.B) {
+		b.Run("ch-distance", func(b *testing.B) {
+			wl, overlay := cchBenchSetup(b)
+			benchCHDistance(b, overlay, wl)
+		})
+		b.Run("ch-path", func(b *testing.B) {
+			wl, overlay := cchBenchSetup(b)
+			benchCHPath(b, overlay, wl)
+		})
+	})
+}
+
+func benchCHDistance(b *testing.B, overlay *ch.Overlay, wl []QueryPair) {
+	eng := ch.NewEngine(overlay, nil)
+	if _, _, err := eng.Distance(wl[0].Source, wl[0].Dest); err != nil {
+		b.Fatal(err) // warm the engine's scratch pools
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := wl[i%len(wl)]
+		if _, _, err := eng.Distance(pr.Source, pr.Dest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchCHPath(b *testing.B, overlay *ch.Overlay, wl []QueryPair) {
+	eng := ch.NewEngine(overlay, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := wl[i%len(wl)]
+		if _, _, err := eng.Path(pr.Source, pr.Dest); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkMTMTable is the headline many-to-many measurement: a wide 64×64
@@ -549,23 +612,22 @@ func BenchmarkCHQuery(b *testing.B) {
 //   - mtm-table runs the many-to-many bucket engine with per-cell path
 //     recording (what the server's wide hybrid queries use);
 //   - mtm-distance is the distance-only fast path on a reused output
-//     buffer.
+//     buffer;
+//   - customizable/mtm-table/8x8 and customizable/mtm-distance/8x8 run the
+//     last two on the hybrid-wide request shape and served overlay (see
+//     BenchmarkCHQuery), whose sweeps walk elimination-tree ancestor chains.
 //
 // Expectation (the PR's acceptance bar): mtm-table beats hybrid-pr3 — and
 // pairwise-ch — by well over 3x, and mtm-distance reports 0 allocs/op in
 // steady state.
 func BenchmarkMTMTable(b *testing.B) {
-	g, wl, overlay := chBenchSetup(b)
-	acc := storage.NewMemoryGraph(g)
-	const k = 64
-	sources := make([]NodeID, k)
-	targets := make([]NodeID, k)
-	for i := 0; i < k; i++ {
-		sources[i] = wl[i%len(wl)].Source
-		targets[i] = wl[(i+37)%len(wl)].Dest
+	witness := func(b *testing.B) (storage.Accessor, *ch.Overlay, []NodeID, []NodeID) {
+		g, wl, overlay := chBenchSetup(b)
+		sources, targets := mtmEndpoints(wl, 64)
+		return storage.NewMemoryGraph(g), overlay, sources, targets
 	}
-
 	b.Run("hybrid-pr3/64x64", func(b *testing.B) {
+		acc, _, sources, targets := witness(b)
 		proc := search.NewProcessor(acc, search.WithStrategy(search.StrategySSMD))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -576,6 +638,7 @@ func BenchmarkMTMTable(b *testing.B) {
 		}
 	})
 	b.Run("pairwise-ch/64x64", func(b *testing.B) {
+		acc, overlay, sources, targets := witness(b)
 		proc := search.NewProcessor(acc,
 			search.WithStrategy(search.StrategyPointEngine),
 			search.WithPointEngine(ch.NewEngine(overlay, nil)))
@@ -588,30 +651,63 @@ func BenchmarkMTMTable(b *testing.B) {
 		}
 	})
 	b.Run("mtm-table/64x64", func(b *testing.B) {
-		m := ch.NewMTM(overlay, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Table(sources, targets); err != nil {
-				b.Fatal(err)
-			}
-		}
+		_, overlay, sources, targets := witness(b)
+		benchMTMTable(b, overlay, sources, targets)
 	})
 	b.Run("mtm-distance/64x64", func(b *testing.B) {
-		m := ch.NewMTM(overlay, nil)
-		var dst []float64
-		var err error
-		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-			b.Fatal(err) // warm the state pool so the loop is steady state
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-				b.Fatal(err)
-			}
-		}
+		_, overlay, sources, targets := witness(b)
+		benchMTMDistance(b, overlay, sources, targets)
 	})
+	b.Run("customizable", func(b *testing.B) {
+		b.Run("mtm-table/8x8", func(b *testing.B) {
+			wl, overlay := cchBenchSetup(b)
+			sources, targets := mtmEndpoints(wl, 8)
+			benchMTMTable(b, overlay, sources, targets)
+		})
+		b.Run("mtm-distance/8x8", func(b *testing.B) {
+			wl, overlay := cchBenchSetup(b)
+			sources, targets := mtmEndpoints(wl, 8)
+			benchMTMDistance(b, overlay, sources, targets)
+		})
+	})
+}
+
+// mtmEndpoints draws a k×k table's sources and targets from a workload.
+func mtmEndpoints(wl []QueryPair, k int) (sources, targets []NodeID) {
+	sources = make([]NodeID, k)
+	targets = make([]NodeID, k)
+	for i := 0; i < k; i++ {
+		sources[i] = wl[i%len(wl)].Source
+		targets[i] = wl[(i+37)%len(wl)].Dest
+	}
+	return sources, targets
+}
+
+func benchMTMTable(b *testing.B, overlay *ch.Overlay, sources, targets []NodeID) {
+	m := ch.NewMTM(overlay, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Table(sources, targets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchMTMDistance(b *testing.B, overlay *ch.Overlay, sources, targets []NodeID) {
+	m := ch.NewMTM(overlay, nil)
+	var dst []float64
+	var err error
+	if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+		b.Fatal(err) // warm the state pool so the loop is steady state
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkNetworkGeneration measures the synthetic map generators used by

@@ -18,16 +18,25 @@
 //   - Overlay (this file) is the immutable preprocessed index: the node
 //     ranks, the upward forward/backward CSR adjacency, and the arc arena
 //     every shortcut can be recursively unpacked through.
-//   - Engine (query.go) answers point queries on the overlay with a
-//     bidirectional upward Dijkstra running on two pooled epoch-stamped
+//   - The elimination tree (etree.go) is derived with the CSR views when
+//     the upward structure is symmetric and chordal — as on customizable
+//     overlays of maps whose roads all run both ways. A node's upward
+//     search space is then its ancestor chain, so both query engines below
+//     walk chains in rank order over plain label arrays instead of running
+//     a priority queue; other overlays keep the heap searches.
+//   - Engine (query.go) answers point queries on the overlay: by walking
+//     the ancestor chains of source and destination together, or with a
+//     bidirectional upward Dijkstra on two pooled epoch-stamped
 //     search.Workspace instances — 0 allocs/op for distance queries in
-//     steady state, and full path unpacking for path queries. Engine
-//     implements search.PointEngine, which is how the server installs it.
+//     steady state either way, and full path unpacking for path queries.
+//     Engine implements search.PointEngine, which is how the server
+//     installs it.
 //   - MTM (mtm.go) answers whole Q(S, T) tables with the many-to-many
-//     bucket algorithm — |S|+|T| upward sweeps joined at per-node bucket
-//     entries instead of |S|·|T| point queries, 0 allocs/op for
-//     distance-only tables. MTM implements search.TableEngine, which is
-//     how the server routes wide obfuscated queries to it.
+//     bucket algorithm — |S|+|T| upward sweeps (chain walks or heap
+//     searches) joined at per-node bucket entries instead of |S|·|T| point
+//     queries, 0 allocs/op for distance-only tables. MTM implements
+//     search.TableEngine, which is how the server routes wide obfuscated
+//     queries to it.
 //   - Recustomize (customize.go) is the live-update half: a customizable
 //     overlay (BuildCustomizable) separates the metric-independent
 //     contraction structure from a weight layer that a bottom-up triangle
@@ -95,6 +104,13 @@ type Overlay struct {
 	fwdTo, bwdTo     []roadnet.NodeID
 	fwdCost, bwdCost []float64
 	fwdArc, bwdArc   []int32
+	// etree is the elimination tree of the upward structure (etree.go):
+	// etree[v] is v's lowest-ranked upward neighbour, -1 at a root. It is
+	// nil unless the structure is symmetric and chordal; queries then run
+	// heap-driven sweeps instead of ancestor-chain walks. Derived with the
+	// CSR views, it is part of the frozen half re-customized generations
+	// share.
+	etree []int32
 
 	graphArcs int    // NumArcs of the source graph (self-loops included)
 	checksum  uint64 // GraphChecksum (content) of the source graph
@@ -199,9 +215,10 @@ func (o *Overlay) Matches(g *roadnet.Graph) error {
 // O(1), not O(arcs).
 func GraphChecksum(g *roadnet.Graph) uint64 { return g.ContentChecksum() }
 
-// buildCSR derives the two upward CSR views from the arena and the ranks.
-// It is called by the builder and by Read, so the in-memory layout of a
-// loaded overlay is guaranteed identical to a freshly built one.
+// buildCSR derives the two upward CSR views and the elimination tree from
+// the arena and the ranks. It is called by the builder and by Read, so the
+// in-memory layout of a loaded overlay is guaranteed identical to a freshly
+// built one.
 func (o *Overlay) buildCSR() {
 	n := o.n
 	fwdCnt := make([]int32, n+1)
@@ -254,6 +271,7 @@ func (o *Overlay) buildCSR() {
 		sortSegmentByHead(o.fwdTo, o.fwdCost, o.fwdArc, int(o.fwdOff[v]), int(o.fwdOff[v+1]))
 		sortSegmentByHead(o.bwdTo, o.bwdCost, o.bwdArc, int(o.bwdOff[v]), int(o.bwdOff[v+1]))
 	}
+	o.etree = o.eliminationTree()
 }
 
 // sortSegmentByHead insertion-sorts the CSR triple (heads, costs, arcIDs) on

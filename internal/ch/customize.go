@@ -178,6 +178,7 @@ func (o *Overlay) recustomizeClone(g *roadnet.Graph) (*Overlay, error) {
 		bwdTo:     o.bwdTo,
 		fwdArc:    o.fwdArc,
 		bwdArc:    o.bwdArc,
+		etree:     o.etree,
 		// The CSR cost copies start as copies, not zeroed arrays: the full
 		// passes overwrite every entry anyway, and the incremental pass
 		// patches only the entries of re-derived arcs.

@@ -25,6 +25,10 @@ import (
 //     node u it settles and relaxes table cells:
 //     dist[i][j] = min(dist[i][j], d↑(s_i, u) + d↑(u, t_j)).
 //
+// Each upward search is a walk up the start node's elimination-tree
+// ancestor chain when the overlay has a tree (etree.go), and a heap-driven
+// Dijkstra otherwise; both settle the same nodes with the same labels.
+//
 // Correctness rests on the standard CH theorem the bidirectional query
 // already relies on: for every pair (s, t) some shortest path is an up-down
 // path, its apex is settled by both the forward sweep from s and the
@@ -147,10 +151,15 @@ type MTMStats struct {
 	ArenaHighWater int64
 }
 
-// MTM is the many-to-many table engine on an Overlay. It is safe for
-// concurrent use: every evaluation checks a private mtmState out of the
-// engine's pool and a search workspace out of the shared WorkspacePool, and
-// the overlay itself is read-only.
+// MTM is the many-to-many table engine on an Overlay. On an overlay with an
+// elimination tree every sweep walks its start node's ancestor chain in
+// rank order over a pooled label array (treeBackwardSweep,
+// treeForwardSweep) — the nodes settled, arcs relaxed and labels are those
+// of a Dijkstra sweep, with no priority queue; on any other overlay the
+// sweeps are heap-driven searches on a workspace from the shared
+// WorkspacePool. It is safe for concurrent use: every evaluation checks a
+// private mtmState and its sweep scratch out of pools, and the overlay
+// itself is read-only.
 //
 // MTM implements search.TableEngine, which is how the server installs it for
 // the wide half of "hybrid" routing.
@@ -282,12 +291,24 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 	st := m.states.Get().(*mtmState)
 	defer m.states.Put(st)
 	st.reset(o.n)
-	w := m.pool.Get(o.n)
-	defer w.Release()
+	// The sweeps run on exactly one of two scratches: tree labels when the
+	// overlay has an elimination tree, a heap workspace otherwise. Tree
+	// labels are released only once every sweep has cleared its chain; on
+	// an error return they may be dirty and are left to the collector.
+	var w *search.Workspace
+	var l *treeLabels
+	if o.etree != nil {
+		l = acquireTreeLabels(o.n)
+	} else {
+		w = m.pool.Get(o.n)
+		defer w.Release()
+	}
 
 	// Phase 1: one backward upward sweep per target deposits buckets.
 	for j, t := range targets {
-		if err := m.backwardSweep(st, w, t, int32(j), needPaths, &stats); err != nil {
+		if l != nil {
+			m.treeBackwardSweep(st, l, t, int32(j), needPaths, &stats)
+		} else if err := m.backwardSweep(st, w, t, int32(j), needPaths, &stats); err != nil {
 			return stats, chains, err
 		}
 	}
@@ -306,31 +327,110 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 
 	// Phase 2: one forward upward sweep per source scans buckets and, when
 	// paths were requested, records each finite cell's arc chain while the
-	// forward tree is still on the workspace.
+	// forward labels are still in place.
 	scanned := int64(0)
 	for i, s := range sources {
 		row := dist[i*len(targets) : (i+1)*len(targets)]
 		for j := range row {
 			row[j] = math.Inf(1)
 		}
-		scanned += m.forwardSweep(st, w, s, row, needPaths, &stats)
+		if l != nil {
+			scanned += m.treeForwardSweep(st, l, s, row, needPaths, &stats)
+		} else {
+			scanned += m.forwardSweep(st, w, s, row, needPaths, &stats)
+		}
 		if needPaths {
 			var err error
-			chains.arcs, chains.cellOff, err = m.recordChains(st, w, s, row, chains.arcs, chains.cellOff)
+			chains.arcs, chains.cellOff, err = m.recordChains(st, w, l, s, row, chains.arcs, chains.cellOff)
 			if err != nil {
 				return stats, chains, err
 			}
 		}
+		if l != nil {
+			l.clear(o.etree, s)
+		}
+	}
+	if l != nil {
+		l.release()
 	}
 	m.scanned.Add(scanned)
 	m.tables.Add(1)
 	return stats, chains, nil
 }
 
-// backwardSweep runs the upward search from target t over the backward CSR
-// view, depositing a bucket entry at every settled node. In path mode each
-// deposit carries the arena arc the search stepped through, recovered from
-// the parent label the same way the bidirectional query's unpacking does.
+// treeBackwardSweep is backwardSweep on an overlay with an elimination
+// tree: it walks t's ancestor chain in rank order, deposits a bucket entry
+// at every labelled ancestor — carrying, in path mode, the arena arc whose
+// relaxation labelled it — relaxes the ancestor's upward in-arcs, and clears
+// the chain's labels. Settled nodes and relaxed arcs equal backwardSweep's.
+//
+//opaque:noalloc
+func (m *MTM) treeBackwardSweep(st *mtmState, l *treeLabels, t roadnet.NodeID, j int32, needPaths bool, stats *search.Stats) {
+	o := m.o
+	l.start(t)
+	for u := int32(t); u >= 0; u = o.etree[u] {
+		du := l.dist[u]
+		if !l.relax(u, math.Inf(1), o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, &stats.RelaxedArcs) {
+			continue
+		}
+		stats.SettledNodes++
+		via := int32(-1)
+		if needPaths {
+			via = l.arc[u]
+		}
+		st.deposit(roadnet.NodeID(u), j, via, du)
+	}
+	l.clear(o.etree, t)
+}
+
+// treeForwardSweep is forwardSweep on an overlay with an elimination tree:
+// it walks s's ancestor chain in rank order, scanning the bucket of every
+// labelled ancestor before relaxing its upward out-arcs. The labels stay on
+// l for recordChains; the caller clears them. It returns the number of
+// bucket entries examined.
+//
+//opaque:noalloc
+func (m *MTM) treeForwardSweep(st *mtmState, l *treeLabels, s roadnet.NodeID, row []float64, needPaths bool, stats *search.Stats) int64 {
+	o := m.o
+	l.start(s)
+	scanned := int64(0)
+	for u := int32(s); u >= 0; u = o.etree[u] {
+		du := l.dist[u]
+		if !l.relax(u, math.Inf(1), o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, &stats.RelaxedArcs) {
+			continue
+		}
+		stats.SettledNodes++
+		scanned += st.scanBucket(roadnet.NodeID(u), du, row, needPaths)
+	}
+	return scanned
+}
+
+// scanBucket relaxes the row's cells through u's bucket, reached at forward
+// distance du, recording the best entry and meeting node of each improved
+// cell in path mode. It returns the number of entries examined.
+//
+//opaque:noalloc
+func (st *mtmState) scanBucket(u roadnet.NodeID, du float64, row []float64, needPaths bool) int64 {
+	scanned := int64(0)
+	for e := st.headOf(u); e >= 0; e = st.entries[e].next {
+		scanned++
+		en := &st.entries[e]
+		if nd := du + en.dist; nd < row[en.target] {
+			row[en.target] = nd
+			if needPaths {
+				st.bestEntry[en.target] = e
+				st.bestMeet[en.target] = u
+			}
+		}
+	}
+	return scanned
+}
+
+// backwardSweep runs the heap-driven upward search from target t over the
+// backward CSR view, depositing a bucket entry at every settled node. In
+// path mode each deposit carries the arena arc the search stepped through,
+// recovered from the parent label the same way the bidirectional query's
+// unpacking does.
 //
 //opaque:noalloc
 func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID, j int32, needPaths bool, stats *search.Stats) error {
@@ -375,11 +475,11 @@ func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID,
 	return nil
 }
 
-// forwardSweep runs the upward search from source s over the forward CSR
-// view, scanning the bucket of every settled node to relax the row's cells.
-// It returns the number of bucket entries examined. In path mode the best
-// entry and meeting node of each improved cell are recorded in the row
-// scratch; the forward tree is left on w for recordChains.
+// forwardSweep runs the heap-driven upward search from source s over the
+// forward CSR view, scanning the bucket of every settled node to relax the
+// row's cells. It returns the number of bucket entries examined. In path
+// mode the best entry and meeting node of each improved cell are recorded in
+// the row scratch; the forward tree is left on w for recordChains.
 //
 //opaque:noalloc
 func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, row []float64, needPaths bool, stats *search.Stats) int64 {
@@ -400,17 +500,7 @@ func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, 
 			continue
 		}
 		stats.SettledNodes++
-		for e := st.headOf(u); e >= 0; e = st.entries[e].next {
-			scanned++
-			en := &st.entries[e]
-			if nd := item.Priority + en.dist; nd < row[en.target] {
-				row[en.target] = nd
-				if needPaths {
-					st.bestEntry[en.target] = e
-					st.bestMeet[en.target] = u
-				}
-			}
-		}
+		scanned += st.scanBucket(u, item.Priority, row, needPaths)
 		for i := o.fwdOff[u]; i < o.fwdOff[u+1]; i++ {
 			stats.RelaxedArcs++
 			head := o.fwdTo[i]
@@ -426,30 +516,24 @@ func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, 
 }
 
 // recordChains appends, for every finite cell of s's row, the overlay arc
-// chain source→apex (walked off the forward tree still on w) followed by
-// apex→target (walked through the bucket entries' via arcs), and closes the
-// row's cell offsets.
-func (m *MTM) recordChains(st *mtmState, w *search.Workspace, s roadnet.NodeID, row []float64, arcs []int32, cellOff []int32) ([]int32, []int32, error) {
+// chain source→apex followed by apex→target (walked through the bucket
+// entries' via arcs), and closes the row's cell offsets. The forward half is
+// walked off the forward labels still in place: the relaxed arcs on l for a
+// tree sweep, or the parent labels on w for a heap sweep (exactly one of the
+// two is non-nil).
+func (m *MTM) recordChains(st *mtmState, w *search.Workspace, l *treeLabels, s roadnet.NodeID, row []float64, arcs []int32, cellOff []int32) ([]int32, []int32, error) {
 	o := m.o
 	for j := range row {
 		if !math.IsInf(row[j], 1) {
 			meet := st.bestMeet[j]
-			// Forward half: meet→source through the forward parents, emitted
-			// in source→meet travel order.
-			st.chain = st.chain[:0]
-			for at := meet; at != roadnet.InvalidNode; at = w.ParentOf(at) {
-				st.chain = append(st.chain, at)
+			var err error
+			if l != nil {
+				arcs, err = appendTreeChain(o, l, s, meet, arcs)
+			} else {
+				arcs, err = m.appendHeapChain(st, w, s, meet, arcs)
 			}
-			if st.chain[len(st.chain)-1] != s {
-				return nil, nil, fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
-			}
-			for k := len(st.chain) - 1; k > 0; k-- {
-				from, to := st.chain[k], st.chain[k-1]
-				idx := o.findArc(o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, from, to, w.DistOf(from), w.DistOf(to))
-				if idx < 0 {
-					return nil, nil, fmt.Errorf("ch: internal error: no upward arc %d→%d on forward sweep from %d", from, to, s)
-				}
-				arcs = append(arcs, idx)
+			if err != nil {
+				return nil, nil, err
 			}
 			// Backward half: follow the via arcs from the meeting node's
 			// bucket entry down to the target.
@@ -468,6 +552,28 @@ func (m *MTM) recordChains(st *mtmState, w *search.Workspace, s roadnet.NodeID, 
 		cellOff = append(cellOff, int32(len(arcs)))
 	}
 	return arcs, cellOff, nil
+}
+
+// appendHeapChain appends the upward arcs source→meet of a heap sweep's
+// forward tree on w, recovering each arc from its endpoints' labels.
+func (m *MTM) appendHeapChain(st *mtmState, w *search.Workspace, s, meet roadnet.NodeID, arcs []int32) ([]int32, error) {
+	o := m.o
+	st.chain = st.chain[:0]
+	for at := meet; at != roadnet.InvalidNode; at = w.ParentOf(at) {
+		st.chain = append(st.chain, at)
+	}
+	if st.chain[len(st.chain)-1] != s {
+		return nil, fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
+	}
+	for k := len(st.chain) - 1; k > 0; k-- {
+		from, to := st.chain[k], st.chain[k-1]
+		idx := o.findArc(o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, from, to, w.DistOf(from), w.DistOf(to))
+		if idx < 0 {
+			return nil, fmt.Errorf("ch: internal error: no upward arc %d→%d on forward sweep from %d", from, to, s)
+		}
+		arcs = append(arcs, idx)
+	}
+	return arcs, nil
 }
 
 // Table is a completed many-to-many result: the distance matrix plus the

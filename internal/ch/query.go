@@ -11,17 +11,19 @@ import (
 )
 
 // Engine answers point shortest-path queries on an Overlay with a
-// bidirectional upward Dijkstra: the forward search from s relaxes only
+// bidirectional upward search: the forward search from s relaxes only
 // overlay arcs toward higher-ranked nodes, the backward search from t only
 // reversed arcs from higher-ranked nodes, and the two meet at the apex of
-// the optimal up-down path. Each direction runs on an epoch-stamped
-// search.Workspace checked out of the engine's pool, so a distance query
-// performs zero heap allocations in steady state; path queries additionally
-// unpack the shortcut chain into the original-arc route.
+// the optimal up-down path. On an overlay with an elimination tree the two
+// searches are walks up the ancestor chains of s and t on pooled label
+// arrays (treeQuery); on any other overlay each direction is a Dijkstra on
+// an epoch-stamped search.Workspace checked out of the engine's pool.
+// Either way a distance query performs zero heap allocations in steady
+// state; path queries additionally unpack the shortcut chain into the
+// original-arc route.
 //
 // Engine implements search.PointEngine and is safe for concurrent use: the
-// overlay is read-only and all per-query state lives in the two pooled
-// workspaces.
+// overlay is read-only and all per-query state lives in pooled scratch.
 type Engine struct {
 	o    *Overlay
 	pool *search.WorkspacePool
@@ -113,6 +115,9 @@ func (e *Engine) query(source, dest roadnet.NodeID, needPath bool) (search.Path,
 		}
 		return search.Path{Nodes: []roadnet.NodeID{source}, Cost: 0}, 0, stats, nil
 	}
+	if o.etree != nil {
+		return o.treeQuery(source, dest, needPath)
+	}
 
 	fw := e.pool.Get(o.n)
 	defer fw.Release()
@@ -153,12 +158,99 @@ func (e *Engine) query(source, dest roadnet.NodeID, needPath bool) (search.Path,
 	return search.Path{Nodes: nodes, Cost: best}, best, stats, nil
 }
 
-// step advances one direction of the bidirectional search by one settled
-// node: pop the frontier minimum of this, relax its upward arcs (the CSR
-// triple passed in selects the direction), and tighten best/meet against
-// other's label on the settled node. It returns false once this direction is
-// exhausted — queue empty or frontier minimum at least best, the standard CH
-// stopping rule.
+// treeQuery is query on an overlay with an elimination tree. It walks the
+// ancestor chains of source (forward labels) and dest (backward labels)
+// together in increasing rank. Below their lowest common ancestor a node
+// lies on one chain and is relaxed in that direction only; from there up
+// the chains coincide, every node is a meeting candidate whose labels in
+// both directions are final, and a direction skips relaxing a node whose
+// label is already at or above the best candidate — the walk's form of the
+// heap query's stopping rule. No priority queue runs (QueueOps stays 0),
+// and distance queries allocate nothing.
+func (o *Overlay) treeQuery(source, dest roadnet.NodeID, needPath bool) (search.Path, float64, search.Stats, error) {
+	var stats search.Stats
+	fw := acquireTreeLabels(o.n)
+	bw := acquireTreeLabels(o.n)
+	fw.start(source)
+	bw.start(dest)
+	best := math.Inf(1)
+	meet := int32(-1)
+	for u, v := int32(source), int32(dest); u >= 0 || v >= 0; {
+		switch {
+		case u >= 0 && (v < 0 || o.rank[u] < o.rank[v]):
+			if fw.relax(u, best, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, &stats.RelaxedArcs) {
+				stats.SettledNodes++
+			}
+			u = o.etree[u]
+		case v >= 0 && (u < 0 || o.rank[v] < o.rank[u]):
+			if bw.relax(v, best, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, &stats.RelaxedArcs) {
+				stats.SettledNodes++
+			}
+			v = o.etree[v]
+		default: // u == v: the chains have merged
+			if d := fw.dist[u] + bw.dist[u]; d < best {
+				best, meet = d, u
+			}
+			if fw.relax(u, best, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, &stats.RelaxedArcs) {
+				stats.SettledNodes++
+			}
+			if bw.relax(u, best, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, &stats.RelaxedArcs) {
+				stats.SettledNodes++
+			}
+			u = o.etree[u]
+			v = u
+		}
+	}
+
+	path, d := search.Path{}, best
+	if meet < 0 {
+		d = math.Inf(1)
+	} else if needPath {
+		nodes, err := o.unpackTreeRoute(fw, bw, source, dest, roadnet.NodeID(meet))
+		if err != nil {
+			return search.Path{}, 0, stats, err // the labels stay dirty: leave them to the collector
+		}
+		path = search.Path{Nodes: nodes, Cost: best}
+	}
+	fw.clear(o.etree, source)
+	bw.clear(o.etree, dest)
+	fw.release()
+	bw.release()
+	return path, d, stats, nil
+}
+
+// unpackTreeRoute rebuilds the full original-arc path source→…→meet→…→dest
+// from the labels of a tree query: the forward half from the arcs recorded
+// on fw, the backward half by following the arcs recorded on bw from meet
+// down to dest (each backward label's arc x→u leads on to u).
+func (o *Overlay) unpackTreeRoute(fw, bw *treeLabels, source, dest, meet roadnet.NodeID) ([]roadnet.NodeID, error) {
+	up, err := appendTreeChain(o, fw, source, meet, nil)
+	if err != nil {
+		return nil, err
+	}
+	nodes := []roadnet.NodeID{source}
+	emit := func(v roadnet.NodeID) { nodes = append(nodes, v) }
+	for _, a := range up {
+		o.unpackArc(a, emit)
+	}
+	for at := meet; at != dest; {
+		a := bw.arc[at]
+		if a < 0 || math.IsInf(bw.dist[at], 1) {
+			return nil, fmt.Errorf("ch: internal error: backward tree walk from %d left no arc into %d", dest, at)
+		}
+		o.unpackArc(a, emit)
+		at = roadnet.NodeID(o.arcs[a].to)
+	}
+	return nodes, nil
+}
+
+// step advances one direction of the heap-driven bidirectional search (the
+// query of overlays without an elimination tree) by one settled node: pop
+// the frontier minimum of this, relax its upward arcs (the CSR triple passed
+// in selects the direction), and tighten best/meet against other's label on
+// the settled node. It returns false once this direction is exhausted —
+// queue empty or frontier minimum at least best, the standard CH stopping
+// rule.
 func (o *Overlay) step(this, other *search.Workspace,
 	off []int32, heads []roadnet.NodeID, costs []float64,
 	best *float64, meet *roadnet.NodeID, stats *search.Stats) bool {

@@ -12,6 +12,39 @@ type gridIndex struct {
 	cellW, cellH float64
 	cols, rows   int
 	cells        [][]NodeID
+	// colMin/colMax and rowMin/rowMax are the real extents of the nodes in
+	// each grid column and row — not the nominal grid lines — so the box
+	// [colMin[cx], colMax[cx]] × [rowMin[cy], rowMax[cy]] provably holds
+	// every node of cell (cx, cy). Range queries classify whole cells by it.
+	colMin, colMax []float64
+	rowMin, rowMax []float64
+}
+
+// axisSpan returns the squared offsets from v to the nearest and to the
+// farthest point of [lo, hi], rounded like the terms of sqDist. Every value
+// in [lo, hi] is offset from v by an amount between the two (floating-point
+// subtraction is monotone), so for a node inside a box, near ≤ sqDist ≤ far
+// holds exactly when near and far sum the box's two axes.
+func axisSpan(v, lo, hi float64) (near, far float64) {
+	switch {
+	case v < lo:
+		near, far = lo-v, hi-v
+	case v > hi:
+		near, far = v-hi, v-lo
+	default:
+		far = v - lo
+		if d := hi - v; d > far {
+			far = d
+		}
+	}
+	return float64(near * near), float64(far * far)
+}
+
+// sqDist is the squared length of the offset (dx, dy). The conversions
+// forbid fusing the multiply-add, so the value is rounded the same way
+// wherever it is computed — which axisSpan's bounds rely on.
+func sqDist(dx, dy float64) float64 {
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // buildGridIndex builds a grid whose cell count is roughly the node count so
@@ -43,11 +76,26 @@ func buildGridIndex(g *Graph) *gridIndex {
 		cellH: h / float64(side),
 	}
 	idx.cells = make([][]NodeID, side*side)
+	idx.colMin, idx.colMax = filled(side, math.Inf(1)), filled(side, math.Inf(-1))
+	idx.rowMin, idx.rowMax = filled(side, math.Inf(1)), filled(side, math.Inf(-1))
 	for _, node := range g.Nodes() {
 		c := idx.cellOf(node.X, node.Y)
+		cx, cy := c%side, c/side
+		idx.colMin[cx], idx.colMax[cx] = math.Min(idx.colMin[cx], node.X), math.Max(idx.colMax[cx], node.X)
+		idx.rowMin[cy], idx.rowMax[cy] = math.Min(idx.rowMin[cy], node.Y), math.Max(idx.rowMax[cy], node.Y)
 		idx.cells[c] = append(idx.cells[c], node.ID)
 	}
 	return idx
+}
+
+// filled returns k copies of v: the extents before any node is seen (a
+// row or column that stays empty has no cell to classify).
+func filled(k int, v float64) []float64 {
+	e := make([]float64, k)
+	for i := range e {
+		e[i] = v
+	}
+	return e
 }
 
 func (idx *gridIndex) cellOf(x, y float64) int {
@@ -170,21 +218,26 @@ func (g *Graph) NodesWithin(x, y, radius float64) []NodeID {
 // distance from (x, y) lies in [inner, outer] and returns the extended slice.
 // The IDs come in grid-cell order, not sorted by distance: callers that
 // sample from the band uniformly need no order, and skipping the sort keeps
-// the cost linear in the number of nodes the covering cells hold. Passing a
-// reused dst[:0] makes a call allocation-free once dst has grown to the
-// band's size. It is the primitive behind the ring-band fake-endpoint
-// selection strategy. On mutable graphs it scans every node.
+// the cost linear in the number of covering cells plus the nodes of the
+// cells that straddle a band edge. Each covering cell is classified by a
+// box that holds all its nodes (the node extents of its grid column and
+// row): a cell wholly beyond outer or wholly inside inner is skipped, a
+// cell wholly within the band is appended without testing its nodes, and
+// only the rest are tested node by node — the output is exactly what
+// testing every node would give. Passing a reused dst[:0] makes a call
+// allocation-free once dst has grown to the band's size. It is the
+// primitive behind the ring-band fake-endpoint selection strategy. On
+// mutable graphs it scans every node.
 func (g *Graph) AppendNodesInBand(dst []NodeID, x, y, inner, outer float64) []NodeID {
 	if outer < 0 {
 		return dst
 	}
-	in2, out2 := inner*inner, outer*outer
+	in2, out2 := float64(inner*inner), float64(outer*outer)
 	if inner <= 0 {
 		in2 = 0
 	}
 	inBand := func(n *Node) bool {
-		dx, dy := n.X-x, n.Y-y
-		d2 := dx*dx + dy*dy
+		d2 := sqDist(n.X-x, n.Y-y)
 		return d2 <= out2 && d2 >= in2
 	}
 	if !g.frozen {
@@ -214,10 +267,24 @@ func (g *Graph) AppendNodesInBand(dst []NodeID, x, y, inner, outer float64) []No
 	}
 	for cy := y0; cy <= y1; cy++ {
 		row := idx.cells[cy*idx.cols:]
+		nearY, farY := axisSpan(y, idx.rowMin[cy], idx.rowMax[cy])
 		for cx := x0; cx <= x1; cx++ {
-			for _, id := range row[cx] {
-				if inBand(&g.nodes[id]) {
-					dst = append(dst, id)
+			cell := row[cx]
+			if len(cell) == 0 {
+				continue
+			}
+			nearX, farX := axisSpan(x, idx.colMin[cx], idx.colMax[cx])
+			near, far := nearX+nearY, farX+farY
+			switch {
+			case near > out2 || far < in2:
+				// Wholly beyond the outer circle or inside the inner one.
+			case near >= in2 && far <= out2:
+				dst = append(dst, cell...)
+			default:
+				for _, id := range cell {
+					if inBand(&g.nodes[id]) {
+						dst = append(dst, id)
+					}
 				}
 			}
 		}

@@ -190,6 +190,70 @@ func TestNodesInBand(t *testing.T) {
 	}
 }
 
+// TestNodesInBandCellClassification pins the whole-cell shortcuts of
+// AppendNodesInBand to the node-by-node answer: the same IDs in grid order
+// (cell by cell, each cell in its stored order), with bands that swallow
+// whole cells, skip whole cells and cut through cells, on a lattice whose
+// nodes sit exactly on cell edges and on the band circles.
+func TestNodesInBandCellClassification(t *testing.T) {
+	// 100 lattice nodes with coordinates in multiples of 10 over [0, 100]²:
+	// the grid is 10×10 with 10-unit cells, so every node lies on a cell
+	// edge and every cell's node box is degenerate.
+	lattice := NewGraph(100, 0)
+	lattice.AddNode(0, 0)
+	lattice.AddNode(100, 100)
+	for i := 0; len(lattice.nodes) < 100; i++ {
+		if x, y := float64(10*(i%11)), float64(10*(i/11)); !(x == 0 && y == 0) {
+			lattice.AddNode(x, y)
+		}
+	}
+	lattice.Freeze()
+	if lattice.grid.cols != 10 || lattice.grid.cellW != 10 {
+		t.Fatalf("lattice grid is %d columns of width %v, want 10 of 10", lattice.grid.cols, lattice.grid.cellW)
+	}
+	graphs := map[string]*Graph{"lattice": lattice, "scatter": bandGraph(2000, true)}
+	centres := [][2]float64{{50, 50}, {40, 60}, {47.5, 52.5}, {0, 0}, {100, 35}}
+	bands := [][2]float64{
+		{0, 0}, {10, 10}, {0, 10}, {10, 30}, {20, 50}, {30, 40}, {50, 50},
+		{0, 200}, // swallows every cell
+		{5, 45}, {25, 26}, {150, 300}, {40, 30},
+	}
+	for name, g := range graphs {
+		pos := map[NodeID][2]int{}
+		for c, cell := range g.grid.cells {
+			for k, id := range cell {
+				pos[id] = [2]int{c, k}
+			}
+		}
+		for _, ctr := range centres {
+			for _, band := range bands {
+				x, y, inner, outer := ctr[0], ctr[1], band[0], band[1]
+				got := g.AppendNodesInBand(nil, x, y, inner, outer)
+				want := map[NodeID]bool{}
+				for _, n := range g.Nodes() {
+					if d2 := (n.X-x)*(n.X-x) + (n.Y-y)*(n.Y-y); d2 >= inner*inner && d2 <= outer*outer {
+						want[n.ID] = true
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s centre %v band %v: %d nodes, node-by-node %d", name, ctr, band, len(got), len(want))
+				}
+				for i, id := range got {
+					if !want[id] {
+						t.Fatalf("%s centre %v band %v: node %d is not in the band", name, ctr, band, id)
+					}
+					if i > 0 {
+						a, b := pos[got[i-1]], pos[id]
+						if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+							t.Fatalf("%s centre %v band %v: nodes %d, %d out of grid order", name, ctr, band, got[i-1], id)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNodesWithinDegenerateGeometry(t *testing.T) {
 	// All nodes on one vertical line: the grid has zero width in x.
 	g := NewGraph(5, 0)
